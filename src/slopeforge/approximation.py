@@ -183,28 +183,6 @@ def check_monotone_shadowing(f: PwaMap, g: PwaMap, k: int) -> ShadowReport:
 # residual verification
 # ---------------------------------------------------------------------------
 
-def _float_nodes(g: PwaMap):
-    xs = [float(n.x) for n in g.nodes]
-    yl = [None if n.y_left is None else float(n.y_left) for n in g.nodes]
-    yr = [None if n.y_right is None else float(n.y_right) for n in g.nodes]
-    return xs, yl, yr
-
-
-def _eval_float(xs, yl, yr, z: float, side: str) -> float:
-    z = min(max(z, xs[0]), xs[-1])
-    i = bisect.bisect_right(xs, z) - 1
-    if i >= len(xs) - 1:
-        i = len(xs) - 2
-    if xs[i] == z:
-        y = yl[i] if side == LEFT else yr[i]
-        if y is None:
-            y = yr[i] if yl[i] is None else yl[i]
-        return y
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = yr[i], yl[i + 1]
-    return y0 + (y1 - y0) * (z - x0) / (x1 - x0)
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     residual: float
@@ -238,7 +216,6 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
                 snapped.add(txs[i - 1])
         grid = snapped
     fast = psi.structure is not None
-    gx, gyl, gyr = _float_nodes(g)
     continuous = f.is_continuous
     worst = 0.0
     for x in sorted(grid):
@@ -249,7 +226,7 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
                 continue
             y = f.eval(x, side)
             lhs = float(psi.eval(y, fast=True)) if fast else float(psi.eval(y))
-            rhs = _eval_float(gx, gyl, gyr, zx, side)
+            rhs = g.eval_float(zx, side)
             r = abs(lhs - rhs)
             if r > worst:
                 worst = r
@@ -263,6 +240,32 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
+
+def _is_conjugacy(f: PwaMap, psi: PsiTable, converged: bool) -> bool:
+    """psi is injective, as far as its table and the nodes of f show.
+
+    The table must be strictly increasing with no collapse interval.  A
+    node of f that is not a table point can still end a collapsed cell
+    that runs up to the next table point, so its exact psi value must
+    stay more than twice the certified error away from both
+    neighbouring table values.
+    """
+    ys = psi.ys
+    if not converged or psi.collapse_intervals:
+        return False
+    if any(ys[i + 1] <= ys[i] for i in range(len(ys) - 1)):
+        return False
+    xs = psi.xs
+    res = 2 * psi.error_bound
+    for node in f.nodes:
+        i = bisect.bisect_left(xs, node.x)
+        if xs[i] == node.x:
+            continue
+        y = psi.eval(node.x)
+        if float(y - ys[i - 1]) <= res or float(ys[i] - y) <= res:
+            return False
+    return True
+
 
 @dataclass(frozen=True)
 class PipelineTrace:
@@ -279,6 +282,7 @@ class PipelineTrace:
     entropy_gap: float
     converged: bool
     markov_exact: bool
+    conjugacy: bool              # psi is injective: see _is_conjugacy
     warnings: tuple = ()
 
     @property
@@ -340,6 +344,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
             entropy_gap=abs(float(generic_log(s.beta)) - ent.trend),
             converged=True,
             markov_exact=True,
+            conjugacy=_is_conjugacy(f, psi, True),
         )
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
@@ -400,5 +405,6 @@ def normalize(f: PwaMap, target: float = 1e-4,
         entropy_gap=abs(float(generic_log(s_fin.beta)) - ent.trend),
         converged=converged,
         markov_exact=False,
+        conjugacy=_is_conjugacy(f, psi_fin, converged),
         warnings=tuple(warnings),
     )

@@ -122,11 +122,9 @@ def cmd_normalize(args) -> CommandResult:
                                     grid_points=args.grid)
     res = CommandResult()
     psi = trace.final_psi
-    strictly = all(psi.ys[i + 1] > psi.ys[i] for i in range(len(psi.ys) - 1))
-    conjugacy = strictly and not psi.collapse_intervals and trace.converged
     res.summary["beta"] = format_decimal(trace.gamma, SIG)
     res.summary["residual"] = format_decimal(trace.residual.residual, SIG)
-    res.summary["conjugacy"] = "true" if conjugacy else "false"
+    res.summary["conjugacy"] = "true" if trace.conjugacy else "false"
     res.summary["converged"] = "true" if trace.converged else "false"
     res.summary["markov_exact"] = "true" if trace.markov_exact else "false"
     res.summary["g_exact"] = "false"

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .entropy import entropy_lapcount
 from .errors import BudgetExceeded, PreconditionError
-from .markov import _preimage_sweep
 from .numeric import format_rational
-from .pwmap import LEFT, RIGHT, PwaMap, laps
+from .pwmap import LEFT, RIGHT, PwaMap, laps, preimage_sweep
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def psm_reduce(f: PwaMap, depth: int = 16,
     pts = set(boundary)
     cur = boundary
     for _ in range(depth - 1):
-        new = _preimage_sweep(f, cur) - pts
+        new = preimage_sweep(f, cur) - pts
         pts |= new
         if len(pts) > max_points:
             raise BudgetExceeded(
@@ -227,19 +226,21 @@ def _flag_intervals(pts, codes, flagged):
 
 
 def _collapse_map(a, b, collapse, span):
-    """Increasing map squashing the collapse intervals, scaled onto [0,1]."""
+    """Increasing map squashing the collapse intervals, scaled onto [0,1].
+
+    The intervals are disjoint and their endpoints are breakpoints, so
+    each pair of consecutive breakpoints is one collapse interval or
+    lies outside all of them.
+    """
     scale = Fraction(1) / span
     xs = sorted({a, b} | {x for pair in collapse for x in pair})
+    collapsed = set(collapse)
     pairs = []
     acc = Fraction(0)
     prev = a
     for x in xs:
-        seg = x - prev
-        for lo, hi in collapse:
-            ov = min(x, hi) - max(prev, lo)
-            if ov > 0:
-                seg -= ov
-        acc += seg
+        if (prev, x) not in collapsed:
+            acc += x - prev
         pairs.append((x, acc * scale))
         prev = x
     return PwaMap.from_pairs(pairs, selfmap=False)
@@ -254,7 +255,7 @@ def _factor_map(f: PwaMap, psi0: PwaMap, collapse):
     a, b = f.domain
     psi_nodes = sorted({n.x for n in psi0.nodes})
     cuts = {n.x for n in f.nodes} | {a, b} | set(psi_nodes)
-    cuts |= _preimage_sweep(f, psi_nodes)
+    cuts |= preimage_sweep(f, psi_nodes)
     zs = {}
     for x in sorted(cuts):
         z = psi0.eval(x)

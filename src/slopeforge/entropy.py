@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .errors import BudgetExceeded
 from .markov import MarkovStructure, markov_closure
 from .numeric import format_decimal, generic_log
-from .pwmap import DEFAULT_NODE_BUDGET, PwaMap, compose, laps
+from .pwmap import DEFAULT_NODE_BUDGET, PwaMap, iterates, laps
 
 DEFAULT_DEPTH = 12
 AGREEMENT_GAP = 0.02
@@ -63,15 +64,11 @@ def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH,
     """
     counts = []
     truncated = False
-    g = f
-    for n in range(1, depth + 1):
-        try:
-            if n > 1:
-                g = compose(f, g, max_nodes=max_nodes)
-        except BudgetExceeded:
-            truncated = True
-            break
-        counts.append(len(laps(g)))
+    try:
+        for g in islice(iterates(f, max_nodes), max(depth, 0)):
+            counts.append(len(laps(g)))
+    except BudgetExceeded:
+        truncated = True
     if not counts:
         raise BudgetExceeded("node budget too small for a single iterate")
     estimates = tuple(math.log(c) / (i + 1) for i, c in enumerate(counts))

@@ -356,9 +356,6 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
         classes.setdefault(find(v), set()).add(v)
     vertex_classes = tuple(frozenset(c) for c in classes.values())
 
-    from .approximation import _eval_float, _float_nodes
-
-    gx, gyl, gyr = _float_nodes(g.map)
     continuity_report = []
     ok = True
     for v, positions in canon.items():
@@ -368,7 +365,7 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
                 if (side == LEFT and c == 0) or (side == RIGHT and c == E):
                     continue
                 z = float(psi.eval(c))
-                vals.append(_eval_float(gx, gyl, gyr, z, side))
+                vals.append(g.map.eval_float(z, side))
         if vals:
             spread = max(vals) - min(vals)
             same = spread <= max(collapse_tol, 8 * psi.error_bound)

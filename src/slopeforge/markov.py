@@ -240,7 +240,6 @@ def _power_iteration(rows, n, one, zero, conv, tol, max_iterations):
             return (beta, v, residual, it, "power")
         lam_old = lam
     # maybe the loose tolerance is still met
-    mx = _matvec(rows, x, zero)
     lam = lam_old if lam_old is not None else one
     beta = lam - 1
     v, residual = _normalize_eigenpair(rows, x, beta, zero)
@@ -532,11 +531,6 @@ class MarkovStructure:
         return len(self.points) - 1
 
     @property
-    def cells(self) -> list:
-        return [(self.points[i], self.points[i + 1])
-                for i in range(self.cell_count)]
-
-    @property
     def matrix(self):
         """Dense 0/1 matrix (guarded; structures can be large)."""
         k = self.cell_count
@@ -645,28 +639,8 @@ class Refinement:
     image_elem: tuple
 
     @property
-    def cells(self) -> list:
-        return [(self.points[i], self.points[i + 1])
-                for i in range(len(self.points) - 1)]
-
-    @property
     def nonsingleton_count(self) -> int:
         return sum(1 for e in self.image_elem if e >= 0)
-
-
-def _preimage_sweep(f: PwaMap, pts_sorted) -> set:
-    """Isolated f-preimages of a sorted point list, segment by segment."""
-    out = set()
-    for seg in f.segments:
-        s = seg.slope
-        if s == 0:
-            continue
-        lo, hi = (seg.y0, seg.y1) if seg.y0 <= seg.y1 else (seg.y1, seg.y0)
-        i = bisect.bisect_left(pts_sorted, lo)
-        while i < len(pts_sorted) and pts_sorted[i] <= hi:
-            out.add(seg.x0 + (pts_sorted[i] - seg.y0) / s)
-            i += 1
-    return out
 
 
 def _inverse_branches(s: MarkovStructure) -> list:

@@ -12,7 +12,7 @@ heuristic otherwise.
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,9 +25,9 @@ from .approximation import (
 )
 from .coding import psm_reduce
 from .entropy import entropy_lapcount
-from .errors import PreconditionError
-from .markov import is_mixing_matrix
-from .pwmap import PwaMap, modality, sup_dist
+from .errors import BudgetExceeded, NonConvergence, PreconditionError
+from .markov import MarkovStructure, is_mixing_matrix, markov_closure
+from .pwmap import RIGHT, PwaMap, modality, sup_dist
 from .semiconjugacy import ConstantSlopeMap, PsiTable
 
 SLOPE_DETECT_REL_TOL = 1e-9
@@ -88,25 +88,23 @@ def _identity_psi(f: PwaMap) -> PsiTable:
 
 def _dense_orbit_evidence(f: PwaMap, samples: int = 4096,
                           bins: int = 64) -> str:
-    a, b = f.domain
-    width = float(b - a)
-    x = float(a) + width * 0.6180339887498949
-    xs = [float(n.x) for n in f.nodes]
-    yl = [None if n.y_left is None else float(n.y_left) for n in f.nodes]
-    yr = [None if n.y_right is None else float(n.y_right) for n in f.nodes]
+    lo, hi = f.domain
+    a, b, width = float(lo), float(hi), float(hi - lo)
+    x = a + width * 0.6180339887498949
     hit = [False] * bins
     for _ in range(samples):
-        k = min(int((x - float(a)) / width * bins), bins - 1)
+        k = min(int((x - a) / width * bins), bins - 1)
         hit[k] = True
-        i = bisect.bisect_right(xs, x) - 1
-        if i >= len(xs) - 1:
-            i = len(xs) - 2
-        if xs[i] == x:
-            y = yr[i] if yr[i] is not None else yl[i]
-        else:
-            y = yr[i] + (yl[i + 1] - yr[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
-        x = min(max(y, float(a)), float(b))
+        x = min(max(f.eval_float(x, RIGHT), a), b)
     return EVIDENCE_ORBIT if all(hit) else EVIDENCE_UNKNOWN
+
+
+def _transitivity_evidence(f: PwaMap, s: Optional[MarkovStructure]) -> str:
+    """A primitive transition matrix of s when there is one, else the
+    dense-orbit sample of f."""
+    if s is not None and is_mixing_matrix(list(s.covers)).primitive:
+        return EVIDENCE_PRIMITIVE
+    return _dense_orbit_evidence(f)
 
 
 def normal_form(f: PwaMap, target: float = 1e-6,
@@ -129,13 +127,17 @@ def normal_form(f: PwaMap, target: float = 1e-6,
         psi = _identity_psi(f)
         g = ConstantSlopeMap(f, float(slope), provenance="constant-slope-input")
         residual = verify_semiconjugacy(f, f, psi, grid_points=grid_points)
-        evidence = _markov_or_orbit_evidence(f)
+        try:
+            s = markov_closure(f, max_points=512)
+        except (BudgetExceeded, NonConvergence):
+            s = None
+        evidence = _transitivity_evidence(f, s)
         trace = _trivial_trace(psi, g, residual, ent)
         return NormalForm(
             psi=psi,
             psi0=None,
             g=g,
-            conjugacy=True,
+            conjugacy=trace.conjugacy,
             transitivity_evidence=evidence,
             modality_in=modality(f),
             modality_out=modality(f),
@@ -154,25 +156,13 @@ def normal_form(f: PwaMap, target: float = 1e-6,
                       grid_points=grid_points)
     psi = trace.final_psi
     g = trace.final_g
-    strictly_increasing = all(
-        psi.ys[i + 1] > psi.ys[i] for i in range(len(psi.ys) - 1)
-    )
-    conjugacy = (
-        psi0 is None
-        and strictly_increasing
-        and not psi.collapse_intervals
-        and trace.converged
-    )
-    if trace.markov_exact:
-        mix = is_mixing_matrix(list(trace.final_structure.covers))
-        evidence = EVIDENCE_PRIMITIVE if mix.primitive else _dense_orbit_evidence(f)
-    else:
-        evidence = _dense_orbit_evidence(f)
+    evidence = _transitivity_evidence(
+        f, trace.final_structure if trace.markov_exact else None)
     return NormalForm(
         psi=psi,
         psi0=psi0,
         g=g,
-        conjugacy=conjugacy,
+        conjugacy=psi0 is None and trace.conjugacy,
         transitivity_evidence=evidence,
         modality_in=modality(f),
         modality_out=modality(g.map),
@@ -181,23 +171,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
     )
 
 
-def _markov_or_orbit_evidence(f: PwaMap) -> str:
-    from .errors import BudgetExceeded, NonConvergence
-    from .markov import markov_closure
-
-    try:
-        s = markov_closure(f, max_points=512)
-    except (BudgetExceeded, NonConvergence):
-        return _dense_orbit_evidence(f)
-    mix = is_mixing_matrix(list(s.covers))
-    if mix.primitive:
-        return EVIDENCE_PRIMITIVE
-    return _dense_orbit_evidence(f)
-
-
 def _trivial_trace(psi, g, residual, ent) -> PipelineTrace:
-    import math
-
     gamma = g.slope
     return PipelineTrace(
         indices=(0,),
@@ -213,6 +187,7 @@ def _trivial_trace(psi, g, residual, ent) -> PipelineTrace:
         entropy_gap=abs(math.log(gamma) - ent.trend) if gamma > 0 else 0.0,
         converged=True,
         markov_exact=False,
+        conjugacy=True,
     )
 
 

@@ -45,12 +45,6 @@ def mp_context(bits: int | None = None) -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def to_mpf(ctx, x):
-    if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
-    return ctx.mpf(x)
-
-
 def generic_log(x):
     """Natural log working for float and mpf alike."""
     if isinstance(x, float) or isinstance(x, int):

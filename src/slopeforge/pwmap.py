@@ -16,7 +16,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, FormatError, PreconditionError
 from .numeric import format_rational, parse_rational
@@ -93,7 +94,7 @@ class PwaMap:
     objects such as factor maps and flattening charts.
     """
 
-    __slots__ = ("nodes", "_xs", "_xsf", "_segments", "selfmap")
+    __slots__ = ("nodes", "_xs", "_xsf", "_segments", "selfmap", "_yf")
 
     def __init__(self, nodes: Sequence[Node], selfmap: bool = True):
         nodes = tuple(nodes)
@@ -129,6 +130,7 @@ class PwaMap:
             y0, y1 = nodes[i].y_right, nodes[i + 1].y_left
             segs.append(Segment(x0, x1, y0, y1, (y1 - y0) / (x1 - x0)))
         object.__setattr__(self, "_segments", tuple(segs))
+        object.__setattr__(self, "_yf", None)  # float node values, on demand
 
     def __setattr__(self, name, value):  # immutable value object
         raise AttributeError("PwaMap is immutable")
@@ -244,6 +246,34 @@ class PwaMap:
             return y
         seg = self._segments[self.segment_index(x, side)]
         return seg.value(x)
+
+    def eval_float(self, z: float, side: str) -> float:
+        """Float64 value of the map at z, clamped into the domain.
+
+        At a node the value on `side` is returned (the other side at an
+        endpoint); between nodes the two float end values are
+        interpolated.  The float node values are built on the first
+        call, so maps that are never evaluated in float carry none.
+        """
+        xs = self._xsf
+        if self._yf is None:
+            object.__setattr__(self, "_yf", (
+                [None if n.y_left is None else float(n.y_left) for n in self.nodes],
+                [None if n.y_right is None else float(n.y_right) for n in self.nodes],
+            ))
+        yl, yr = self._yf
+        z = min(max(z, xs[0]), xs[-1])
+        i = bisect.bisect_right(xs, z) - 1
+        if i >= len(xs) - 1:
+            i = len(xs) - 2
+        if xs[i] == z:
+            y = yl[i] if side == LEFT else yr[i]
+            if y is None:
+                y = yr[i] if yl[i] is None else yl[i]
+            return y
+        x0, x1 = xs[i], xs[i + 1]
+        y0, y1 = yr[i], yl[i + 1]
+        return y0 + (y1 - y0) * (z - x0) / (x1 - x0)
 
     def value_at(self, x: Fraction) -> Fraction:
         """Single-valued convention: right limit, left at the right endpoint."""
@@ -378,14 +408,23 @@ def compose(outer: PwaMap, inner: PwaMap, max_nodes: int = DEFAULT_NODE_BUDGET) 
     return PwaMap(nodes)
 
 
+def iterates(f: PwaMap, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[PwaMap]:
+    """Yield f, f^2, f^3, ... by incremental composition f^(n+1) = f o f^n.
+
+    An iterate is composed only when it is asked for, so taking n items
+    costs n - 1 compositions; BudgetExceeded surfaces at that request.
+    """
+    g = f
+    while True:
+        yield g
+        g = compose(f, g, max_nodes=max_nodes)
+
+
 def iterate(f: PwaMap, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> PwaMap:
     """The k-th iterate of f as an exact PwaMap (k >= 1)."""
     if k < 1:
         raise PreconditionError("iterate needs k >= 1")
-    g = f
-    for _ in range(k - 1):
-        g = compose(f, g, max_nodes=max_nodes)
-    return g
+    return next(islice(iterates(f, max_nodes), k - 1, None))
 
 
 def lap_count(f: PwaMap, n: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
@@ -395,13 +434,7 @@ def lap_count(f: PwaMap, n: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
 
 def lap_counts(f: PwaMap, upto: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> list:
     """[c_1, ..., c_upto] computed with incremental composition."""
-    out = []
-    g = f
-    for n in range(1, upto + 1):
-        if n > 1:
-            g = compose(f, g, max_nodes=max_nodes)
-        out.append(len(laps(g)))
-    return out
+    return [len(laps(g)) for g in islice(iterates(f, max_nodes), max(upto, 0))]
 
 
 # -- metric ---------------------------------------------------------------
@@ -431,21 +464,28 @@ def sup_dist(f: PwaMap, g: PwaMap) -> Fraction:
 # -- point preimages -------------------------------------------------------
 
 
-def preimage_points(f: PwaMap, y: Fraction) -> list:
-    """Isolated solutions of f(x) = y, segment by segment.
+def preimage_sweep(f: PwaMap, pts_sorted) -> set:
+    """Isolated f-preimages of a sorted point list, segment by segment.
 
-    Plateau segments at level y contribute nothing: the refinement
-    machinery must not subdivide along constant pieces.
+    Plateau segments contribute nothing: the refinement machinery must
+    not subdivide along constant pieces.
     """
-    y = Fraction(y)
-    hits = set()
+    out = set()
     for seg in f.segments:
-        if seg.slope == 0:
+        s = seg.slope
+        if s == 0:
             continue
         lo, hi = (seg.y0, seg.y1) if seg.y0 <= seg.y1 else (seg.y1, seg.y0)
-        if lo <= y <= hi:
-            hits.add(seg.x0 + (y - seg.y0) / seg.slope)
-    return sorted(hits)
+        i = bisect.bisect_left(pts_sorted, lo)
+        while i < len(pts_sorted) and pts_sorted[i] <= hi:
+            out.add(seg.x0 + (pts_sorted[i] - seg.y0) / s)
+            i += 1
+    return out
+
+
+def preimage_points(f: PwaMap, y: Fraction) -> list:
+    """Isolated solutions of f(x) = y, in increasing order."""
+    return sorted(preimage_sweep(f, [Fraction(y)]))
 
 
 # -- orbits -----------------------------------------------------------------

@@ -67,6 +67,9 @@ class PsiTable:
     structure: Optional[MarkovStructure] = None
 
     def __post_init__(self):
+        ys = self.ys
+        object.__setattr__(self, "_tgap", max(
+            (float(ys[i + 1] - ys[i]) for i in range(len(ys) - 1)), default=0.0))
         if self.structure is not None:
             s = self.structure
             V = s.prefix_sums()
@@ -88,11 +91,6 @@ class PsiTable:
             object.__setattr__(self, "_txsf", [float(x) for x in self.xs])
             object.__setattr__(self, "_tys", list(self.ys))
             object.__setattr__(self, "_tys_f", [float(y) for y in self.ys])
-            gap = max(
-                float(self.ys[i + 1] - self.ys[i])
-                for i in range(len(self.ys) - 1)
-            )
-            object.__setattr__(self, "_tgap", gap)
 
     def eval(self, x, fast: bool = False) -> object:
         """psi(x) for any point of the domain.
@@ -296,9 +294,7 @@ class PsiTable:
         return acc
 
     def max_table_gap(self) -> float:
-        return max(
-            float(self.ys[i + 1] - self.ys[i]) for i in range(len(self.ys) - 1)
-        )
+        return self._tgap
 
 
 def _prefix_values(s: MarkovStructure, r: Refinement) -> list:
@@ -330,22 +326,25 @@ def _collapse_from_table(xs, ys, tol: float) -> tuple:
     return tuple(out)
 
 
-def psi_on_points(s: MarkovStructure, depth: int,
-                  max_points: int = 2_000_000) -> PsiTable:
-    """Exact psi on the full refinement point set P_depth."""
-    r = refine(s, depth, max_points=max_points)
+def _psi_table(s: MarkovStructure, r: Refinement, depth: int) -> PsiTable:
+    """The table of psi on the refinement r, certified to beta^-depth."""
     ys = _prefix_values(s, r)
-    collapse = _collapse_from_table(r.points, ys, COLLAPSE_TOL)
     return PsiTable(
         depth=depth,
-        table_depth=depth,
+        table_depth=r.depth,
         xs=r.points,
         ys=tuple(ys),
         beta=s.beta,
         error_bound=float(s.beta) ** (-depth),
-        collapse_intervals=collapse,
+        collapse_intervals=_collapse_from_table(r.points, ys, COLLAPSE_TOL),
         structure=s,
     )
+
+
+def psi_on_points(s: MarkovStructure, depth: int,
+                  max_points: int = 2_000_000) -> PsiTable:
+    """Exact psi on the full refinement point set P_depth."""
+    return _psi_table(s, refine(s, depth, max_points=max_points), depth)
 
 
 def build_psi(s: MarkovStructure, target_err: float,
@@ -377,18 +376,7 @@ def build_psi(s: MarkovStructure, target_err: float,
                 break
     except BudgetExceeded:
         pass  # keep the deepest level within the budget
-    ys = _prefix_values(s, r)
-    collapse = _collapse_from_table(r.points, ys, COLLAPSE_TOL)
-    return PsiTable(
-        depth=depth,
-        table_depth=r.depth,
-        xs=r.points,
-        ys=tuple(ys),
-        beta=beta,
-        error_bound=float(beta) ** (-depth),
-        collapse_intervals=collapse,
-        structure=s,
-    )
+    return _psi_table(s, r, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,19 @@ def test_flatten_command(capsys, tmp_path):
     assert flat == fixtures.doubling()
 
 
+def test_normalize_collapsing_circle_is_not_conjugacy(capsys, tmp_path):
+    # the flat map is the identity on edge e2 = [1, 2], a cell without
+    # Perron mass, so psi is constant there and only semiconjugates
+    p = tmp_path / "circle.txt"
+    p.write_text(fixtures.COLLAPSING_CIRCLE)
+    flat = str(tmp_path / "flat.pwa")
+    assert run(capsys, ["flatten", str(p), "--out", flat])[0] == 0
+    code, summary, _ = run(capsys, ["normalize", flat])
+    assert code == 0
+    assert summary["converged"] == ["true"]
+    assert summary["conjugacy"] == ["false"]
+
+
 def test_plot_tent(capsys, tent_file):
     code, _, out = run(capsys, ["plot", tent_file, "--samples", "4"])
     assert code == 0

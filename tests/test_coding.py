@@ -93,6 +93,20 @@ def test_reduce_collapse_classes_persist_with_depth():
             assert any(clo <= lo and hi <= chi
                        for clo, chi in cur.collapse_intervals)
         prev = cur
+    # at depth 10 there are 2^10 - 1 classes; psi0 is constant on each
+    # and has slope 1/span on the gaps between them
+    q = psm_reduce(f, 10)
+    intervals = q.collapse_intervals
+    assert len(intervals) == 2**10 - 1
+    span = 1 - sum(hi - lo for lo, hi in intervals)
+    psi0 = q.psi0
+    assert psi0.eval(0) == 0 and psi0.eval(1) == 1
+    prev_hi = F(0)
+    for lo, hi in intervals:
+        assert psi0.eval(lo) == psi0.eval((lo + hi) / 2) == psi0.eval(hi)
+        assert psi0.eval(lo) - psi0.eval(prev_hi) == (lo - prev_hi) / span
+        prev_hi = hi
+    assert 1 - psi0.eval(prev_hi) == (1 - prev_hi) / span
     # on a complete quotient the family is stable in both directions
     a = psm_reduce(fixtures.flat_trapezoid(), 4).collapse_intervals
     b = psm_reduce(fixtures.flat_trapezoid(), 8).collapse_intervals

@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction as F
+from itertools import islice
+
+import pytest
 
 from slopeforge import fixtures
 from slopeforge.entropy import entropy, entropy_lapcount, entropy_spectral, is_entropy_positive
 from slopeforge.markov import markov_closure
-from slopeforge.pwmap import PwaMap
+from slopeforge.pwmap import PwaMap, iterates
 
 LOG2 = math.log(2)
 LOGPHI = math.log((1 + 5**0.5) / 2)
@@ -88,3 +91,20 @@ def test_positive_entropy_helper():
     assert not is_entropy_positive(fixtures.identity_map())
     assert is_entropy_positive(fixtures.trapezoid())
     assert is_entropy_positive(fixtures.low_trapezoid())  # finite-depth estimate
+
+
+@pytest.mark.parametrize("name,depth", [("golden", 6), ("doubling", 5),
+                                        ("trapezoid", 4)])
+def test_lapcount_truncates_at_node_budget(name, depth):
+    # compose refuses an iterate with more nodes than the budget, so the
+    # report keeps c_n exactly while every iterate up to f^n fits
+    f = getattr(fixtures, name)()
+    nodes = [len(g.nodes) for g in islice(iterates(f), depth)]
+    full = entropy_lapcount(f, depth=depth).lap_counts
+    for budget in range(2, 1001):
+        kept = 1
+        while kept < depth and nodes[kept] <= budget:
+            kept += 1
+        rep = entropy_lapcount(f, depth=depth, max_nodes=budget)
+        assert rep.lap_counts == full[:kept]
+        assert rep.truncated == (kept < depth)

@@ -69,6 +69,7 @@ def test_normalize_graph_doubling():
     assert res.collapsed_edges == ()
     assert res.edge_lengths["e"] == pytest.approx(1.0)
     assert res.continuity_ok
+    assert res.trace.conjugacy
 
 
 def test_normalize_graph_interval_tent():
@@ -87,6 +88,9 @@ def test_normalize_graph_collapsing_circle():
     # collapsing e2 identifies the two vertices
     assert any(len(cls) == 2 for cls in res.vertex_classes)
     assert res.continuity_ok
+    # psi stays strictly increasing on its table, but it is constant on
+    # [1, 2], which lies inside the last table cell: not a conjugacy
+    assert not res.trace.conjugacy
 
 
 def test_parse_rejects_nonvertex_chart_endpoint():

@@ -1,16 +1,21 @@
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
 from slopeforge import fixtures
-from slopeforge.errors import FormatError, PreconditionError
+from slopeforge.errors import BudgetExceeded, FormatError, PreconditionError
+from slopeforge.graphmap import flatten, parse_graph
 from slopeforge.pwmap import (
     CONSTANT,
     DECREASING,
     INCREASING,
+    LEFT,
+    RIGHT,
     PwaMap,
     compose,
     iterate,
+    iterates,
     lap_count,
     lap_counts,
     laps,
@@ -117,6 +122,40 @@ def test_laps_trapezoid_directions():
 def test_iterate_identity_of_operation():
     f = fixtures.golden()
     assert iterate(f, 1) is f
+
+
+def test_iterates_yields_iterate():
+    for f in (fixtures.golden(), fixtures.doubling(), fixtures.trapezoid()):
+        assert list(islice(iterates(f), 6)) == [iterate(f, k) for k in range(1, 7)]
+
+
+def test_iterates_composes_on_request():
+    # tent^2 has 5 nodes and tent^3 has 9: taking two iterates under a
+    # budget of 5 must not compose the third
+    got = list(islice(iterates(fixtures.tent(), max_nodes=5), 2))
+    assert [len(g.nodes) for g in got] == [3, 5]
+    with pytest.raises(BudgetExceeded):
+        list(islice(iterates(fixtures.tent(), max_nodes=5), 3))
+
+
+@pytest.mark.parametrize("name", ["doubling", "golden", "trapezoid", "collapsing_circle"])
+def test_eval_float_matches_exact(name):
+    if name == "collapsing_circle":
+        f, _ = flatten(parse_graph(fixtures.COLLAPSING_CIRCLE))
+    else:
+        f = getattr(fixtures, name)()
+    a, b = f.domain
+    for n in f.nodes:
+        for side, y in ((LEFT, n.y_left), (RIGHT, n.y_right)):
+            if y is not None:
+                assert f.eval_float(float(n.x), side) == float(y)
+    for k in range(998):
+        x = a + (b - a) * F(k, 997)
+        for side in (LEFT, RIGHT):
+            if (side == LEFT and x == a) or (side == RIGHT and x == b):
+                continue
+            want = float(f.eval(x, side))
+            assert f.eval_float(float(x), side) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_iterate_tent_depth2():
