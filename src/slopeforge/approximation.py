@@ -361,7 +361,9 @@ def normalize(f: PwaMap, target: float = 1e-4,
     converged = False
     for n in schedule:
         g_n, cfg = markov_approx(f, n, shadow_depth=shadow_depth)
-        s_n = structure_from_points(g_n, cfg.points)
+        # g_n is within 1/n of f, so float64 Perron data is accurate
+        # far beyond what the approximation itself carries
+        s_n = structure_from_points(g_n, cfg.points, numeric="float")
         indices.append(n)
         betas.append(float(s_n.beta))
         if float(s_n.beta) <= 1:

@@ -112,8 +112,8 @@ class PerronResult:
     beta: object                 # mpf or float
     v: tuple                     # nonnegative, sums to 1
     residual: float              # max |Mv - beta v|
-    iterations: int
-    method: str                  # "power" | "scc"
+    iterations: int              # steps of every component solve, summed
+    method: str                  # "power" (irreducible) | "scc" (reducible)
     warning: Optional[str] = None
 
 
@@ -168,13 +168,40 @@ def _row_iter(rows, i):
     return p
 
 
+def _restrict(rows, members, comp_of, ci) -> list:
+    """Rows of the principal submatrix on one component, locally indexed.
+
+    members is the component sorted; a cell's local index is its rank
+    there, so the members inside a range row [lo, hi) are one run of
+    local indices and the row stays a range.
+    """
+    if len(members) == len(rows):
+        return rows
+    rank = {v: k for k, v in enumerate(members)}
+    out = []
+    for v in members:
+        kind, p, q = rows[v]
+        if kind == "range":
+            out.append(("range", bisect.bisect_left(members, p),
+                        bisect.bisect_left(members, q)))
+        else:
+            out.append(("cols", [rank[w] for w in p if comp_of[w] == ci], None))
+    return out
+
+
 def perron(M, tol: float = 1e-12, numeric: str = "auto",
            max_iterations: int = 50000) -> PerronResult:
     """Spectral radius and nonnegative right eigenvector of a 0/1 matrix.
 
-    Power iteration on M + I (the shift defeats periodic structure);
-    when the iteration stalls, falls back to solving the strongly
-    connected components and back-substituting a nonnegative extension.
+    One path for every matrix, through the condensation (Frobenius
+    normal form): each strongly connected component gets its spectral
+    radius, a singleton 1 or 0 by its self-loop and any other component
+    by power iteration on M + I restricted to its rows.  beta is the
+    largest radius.  The eigenvector lives on the first basic class
+    (radius beta) that no other basic class reaches, extended by
+    back-substitution of (beta I - M) x = inflow through the components
+    that reach it, sinks first, and is zero elsewhere.  An irreducible
+    matrix is one component.
     """
     rows = _rows_from_matrix(M)
     n = len(rows)
@@ -183,9 +210,7 @@ def perron(M, tol: float = 1e-12, numeric: str = "auto",
             raise PreconditionError("cover range out of bounds")
         if kind == "cols" and any(j >= n for j in p):
             raise PreconditionError("matrix is not square")
-    use_float = numeric == "float" or (numeric == "auto" and n > MP_MATRIX_CAP)
-    if use_float:
-        ctx = None
+    if numeric == "float" or (numeric == "auto" and n > MP_MATRIX_CAP):
         one, zero = 1.0, 0.0
         conv = 1e-14
     else:
@@ -193,31 +218,81 @@ def perron(M, tol: float = 1e-12, numeric: str = "auto",
         one, zero = ctx.mpf(1), ctx.mpf(0)
         conv = float(ctx.mpf(2) ** (10 - ctx.prec))
 
-    result = _power_iteration(rows, n, one, zero, conv, tol, max_iterations)
-    if result is None:
-        result = _scc_solve(rows, n, one, zero, conv, tol, max_iterations)
-        if result is None:
-            raise NonConvergence(
-                "Perron iteration stalled and the component fallback "
-                "did not produce a valid eigenpair"
-            )
-        beta, v, residual, iters, method = result
-    else:
-        beta, v, residual, iters, method = result
+    comps = [sorted(c) for c in strongly_connected_components(rows, n)]
+    comp_of = [0] * n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    radii, local = [], []
+    iterations = 0
+    for ci, comp in enumerate(comps):
+        if len(comp) == 1:
+            radii.append(one if comp[0] in _row_iter(rows, comp[0]) else zero)
+            local.append([one])
+            continue
+        radius, x, steps = _power_iteration(_restrict(rows, comp, comp_of, ci),
+                                            len(comp), one, zero, conv,
+                                            max_iterations)
+        iterations += steps
+        radii.append(radius)
+        local.append(x)
+    beta = max(radii)
+    eps = max(float(beta), 1.0) * 1e-9
+    basic = [float(beta - r) <= eps for r in radii]
+    # comps are in reverse topological order: every edge between two
+    # components runs from a later-listed one to an earlier-listed one
+    below_basic = [False] * len(comps)
+    for ci in reversed(range(len(comps))):
+        if basic[ci] or below_basic[ci]:
+            for v in comps[ci]:
+                for w in _row_iter(rows, v):
+                    if comp_of[w] != ci:
+                        below_basic[comp_of[w]] = True
+    target = next(ci for ci in range(len(comps))
+                  if basic[ci] and not below_basic[ci])
+    x = [zero] * n
+    for v, xv in zip(comps[target], local[target]):
+        x[v] = xv
+    reaches = [False] * len(comps)
+    reaches[target] = True
+    for ci in range(target + 1, len(comps)):
+        comp = comps[ci]
+        if not any(reaches[comp_of[w]] for v in comp for w in _row_iter(rows, v)):
+            continue
+        reaches[ci] = True
+        inflow = []
+        for v in comp:
+            s = zero
+            for w in _row_iter(rows, v):
+                if comp_of[w] != ci:
+                    s = s + x[w]
+            inflow.append(s)
+        y, steps = _upstream_solve(_restrict(rows, comp, comp_of, ci), inflow,
+                                   beta, radii[ci], zero, conv, max_iterations)
+        iterations += steps
+        for v, yv in zip(comp, y):
+            x[v] = yv
+    v, residual = _normalize_eigenpair(rows, x, beta, zero)
     if residual > tol * max(float(beta), 1.0):
-        raise NonConvergence(
-            f"Perron residual {residual:.3e} above tol*beta"
-        )
+        raise NonConvergence(f"Perron residual {residual:.3e} above tol*beta")
     warning = None
     if beta <= 1:
         warning = "spectral radius <= 1: no positive entropy"
-    return PerronResult(beta, tuple(v), residual, iters, method=method,
+    return PerronResult(beta, tuple(v), residual, iterations,
+                        method="power" if len(comps) == 1 else "scc",
                         warning=warning)
 
 
-def _power_iteration(rows, n, one, zero, conv, tol, max_iterations):
+def _power_iteration(rows, n, one, zero, conv, max_iterations):
+    """(radius, eigenvector, steps) of an irreducible matrix.
+
+    Power iteration on M + I: the shift makes an irreducible matrix
+    primitive, so the iteration converges whatever its period.  After
+    max_iterations it returns its last iterate, and the caller's
+    residual test decides.
+    """
     x = [one / n for _ in range(n)]
-    lam_old = None
+    lam = one
     for it in range(1, max_iterations + 1):
         mx = _matvec(rows, x, zero)
         y = [mx[i] + x[i] for i in range(n)]
@@ -231,21 +306,30 @@ def _power_iteration(rows, n, one, zero, conv, tol, max_iterations):
         total = zero
         for yi in y:
             total = total + yi
-        if total == 0:
-            return (zero, [one / n for _ in range(n)], 0.0, it, "power")
         x = [yi / total for yi in y]
         if float(resid) <= conv * float(lam):
-            beta = lam - 1
-            v, residual = _normalize_eigenpair(rows, x, beta, zero)
-            return (beta, v, residual, it, "power")
-        lam_old = lam
-    # maybe the loose tolerance is still met
-    lam = lam_old if lam_old is not None else one
-    beta = lam - 1
-    v, residual = _normalize_eigenpair(rows, x, beta, zero)
-    if residual <= tol * max(float(beta), 1.0):
-        return (beta, v, residual, max_iterations, "power")
-    return None
+            return lam - 1, x, it
+    return lam - 1, x, max_iterations
+
+
+def _upstream_solve(rows, inflow, beta, radius, zero, conv, max_iterations):
+    """(y, steps) solving (beta I - M) y = inflow on one component.
+
+    The component's radius is below beta.  A singleton is one division;
+    a larger component iterates y <- (inflow + M y) / beta, which
+    contracts at the rate radius / beta.
+    """
+    if len(rows) == 1:
+        return [inflow[0] / (beta - radius)], 0
+    y = [zero] * len(rows)
+    for it in range(1, max_iterations + 1):
+        my = _matvec(rows, y, zero)
+        ny = [(inflow[k] + my[k]) / beta for k in range(len(rows))]
+        delta = max(abs(ny[k] - y[k]) for k in range(len(rows)))
+        y = ny
+        if float(delta) <= conv * max(float(beta), 1.0):
+            return y, it
+    return y, max_iterations
 
 
 def _normalize_eigenpair(rows, x, beta, zero):
@@ -346,104 +430,6 @@ def is_mixing_matrix(M) -> MixingReport:
         for w in _row_iter(rows, u):
             g = math.gcd(g, dist[u] + 1 - dist[w])
     return MixingReport(True, g == 1)
-
-
-def _scc_solve(rows, n, one, zero, conv, tol, max_iterations):
-    """Nonnegative eigenpair for the spectral radius via components.
-
-    Solves each strongly connected component, supports the eigenvector
-    on a dominant component no other dominant component can reach, and
-    back-substitutes (beta I - M)x = inflow upward through the
-    condensation.
-    """
-    comps = strongly_connected_components(rows, n)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    # spectral radius per component (restricted power iteration)
-    radii = []
-    for comp in comps:
-        sub = {v: k for k, v in enumerate(comp)}
-        subrows = []
-        for v in comp:
-            cols = [sub[w] for w in _row_iter(rows, v) if w in sub]
-            subrows.append(("cols", cols, None))
-        m = len(comp)
-        if m == 1 and not subrows[0][1]:
-            radii.append(zero)
-            continue
-        res = _power_iteration(subrows, m, one, zero, conv, tol,
-                               max_iterations)
-        if res is None:
-            return None
-        radii.append(res[0])
-    beta = max(radii)
-    eps = max(float(beta), 1.0) * 1e-9
-    basic = [i for i, r in enumerate(radii) if float(beta - r) <= eps]
-    # reachability between components (comps are in reverse topological
-    # order: edges go from later-listed components to earlier-listed)
-    reach = [set([ci]) for ci in range(len(comps))]
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            for w in _row_iter(rows, v):
-                cj = comp_of[w]
-                if cj != ci:
-                    reach[ci] |= reach[cj]
-    target = None
-    for ci in basic:
-        if not any(ci in reach[cj] and cj != ci for cj in basic):
-            target = ci
-            break
-    if target is None:
-        return None
-    x = [zero] * n
-    comp = comps[target]
-    sub = {v: k for k, v in enumerate(comp)}
-    subrows = []
-    for v in comp:
-        cols = [sub[w] for w in _row_iter(rows, v) if w in sub]
-        subrows.append(("cols", cols, None))
-    res = _power_iteration(subrows, len(comp), one, zero, conv, tol,
-                           max_iterations)
-    if res is None:
-        return None
-    for v, k in sub.items():
-        x[v] = res[1][k]
-    # components that reach the target, processed in topological order
-    upstream = [ci for ci in range(len(comps))
-                if ci != target and target in reach[ci]]
-    for ci in sorted(upstream):  # reverse topological list: sorted order
-        comp = comps[ci]
-        inflow = []
-        for v in comp:
-            s = zero
-            for w in _row_iter(rows, v):
-                if comp_of[w] != ci:
-                    s = s + x[w]
-            inflow.append(s)
-        # Neumann iteration for (beta I - M_comp) y = inflow
-        sub = {v: k for k, v in enumerate(comp)}
-        local = [[sub[w] for w in _row_iter(rows, v) if w in sub]
-                 for v in comp]
-        y = [zero] * len(comp)
-        for _ in range(max_iterations):
-            ny = []
-            for k in range(len(comp)):
-                s = inflow[k]
-                for j in local[k]:
-                    s = s + y[j]
-                ny.append(s / beta)
-            delta = max(abs(ny[k] - y[k]) for k in range(len(comp)))
-            y = ny
-            if float(delta) <= conv * max(float(beta), 1.0):
-                break
-        for v, k in sub.items():
-            x[v] = y[k]
-    v, residual = _normalize_eigenpair(rows, x, beta, zero)
-    if residual > tol * max(float(beta), 1.0):
-        return None
-    return (beta, v, residual, 0, "scc")
 
 
 # ---------------------------------------------------------------------------

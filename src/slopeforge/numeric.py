@@ -6,7 +6,8 @@ increasing factor map) is irrational in general and is carried either
 in mpmath arbitrary-precision floats or, for the large structures
 produced by the approximation pipeline, in ordinary float64.  The
 mantissa width defaults to 128 bits and can be overridden with the
-SLOPEFORGE_PRECISION environment variable (in bits).
+SLOPEFORGE_PRECISION environment variable (in bits).  mpmath is
+imported on first use, so exact-only callers never load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 from fractions import Fraction
 
-import mpmath
+from .errors import PreconditionError
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -38,10 +39,18 @@ def mp_context(bits: int | None = None) -> mpmath.ctx_mp.MPContext:
     """A fresh mpmath context at the requested precision.
 
     Using a local context keeps library calls independent of the global
-    mpmath state a host application may have configured.
+    mpmath state a host application may have configured.  A malformed
+    SLOPEFORGE_PRECISION is a PreconditionError here.
     """
+    import mpmath
+
+    if bits is None:
+        try:
+            bits = precision_bits()
+        except ValueError as exc:
+            raise PreconditionError(str(exc)) from exc
     ctx = mpmath.mp.clone()
-    ctx.prec = precision_bits() if bits is None else bits
+    ctx.prec = bits
     return ctx
 
 
@@ -49,6 +58,8 @@ def generic_log(x):
     """Natural log working for float and mpf alike."""
     if isinstance(x, float) or isinstance(x, int):
         return math.log(x)
+    import mpmath
+
     ctx = getattr(x, "context", mpmath.mp)
     return ctx.log(x)
 
@@ -84,6 +95,8 @@ def rationalize(value, digits: int = 40) -> Fraction:
 
 def format_decimal(value, sig: int = 15) -> str:
     """Fixed-significant-digit decimal rendering (deterministic)."""
+    import mpmath
+
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)

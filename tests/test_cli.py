@@ -98,6 +98,16 @@ def test_normalize_identity_precondition(capsys, tmp_path):
     assert summary["error"][0].startswith("precondition")
 
 
+def test_bad_precision_env_is_a_precondition(capsys, monkeypatch, tent_file):
+    monkeypatch.setenv("SLOPEFORGE_PRECISION", "abc")
+    for argv in (["normalize", tent_file], ["entropy", tent_file]):
+        code, _, out = run(capsys, argv)
+        assert code == 3
+        assert len(out.splitlines()) == 1
+        assert out.startswith("error=precondition message=")
+        assert "SLOPEFORGE_PRECISION" in out
+
+
 def test_verify_round_trip(capsys, skew_file, tmp_path):
     g_out = str(tmp_path / "g.pwa")
     psi_out = str(tmp_path / "psi.tsv")

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from slopeforge import fixtures
-from slopeforge.errors import BudgetExceeded, NonConvergence, PreconditionError
+from slopeforge.errors import BudgetExceeded, PreconditionError
+from slopeforge.graphmap import flatten, parse_graph
 from slopeforge.markov import (
     is_markov,
     is_mixing_matrix,
@@ -210,11 +211,69 @@ def test_perron_residual_contract():
     assert pr.residual <= 1e-12 * float(pr.beta)
 
 
-def test_perron_scc_fallback_defective_tie():
-    pr = perron([[1, 1], [0, 1]], max_iterations=500)
+def test_perron_reducible_defective_tie():
+    # two radius-1 classes, the upper one reaching the lower: the
+    # eigenvector lives on the lower class, with no power steps at all
+    pr = perron([[1, 1], [0, 1]])
     assert pr.method == "scc"
+    assert pr.iterations == 0
     assert abs(float(pr.beta) - 1) < 1e-12
-    assert abs(float(pr.v[0]) - 1) < 1e-12 and abs(float(pr.v[1])) < 1e-12
+    assert pr.v == (1, 0)
+
+
+def test_perron_iterations_sum_component_solves():
+    golden = [[0, 1], [1, 1]]
+    swap = [[0, 1], [1, 0]]
+    # cell 0 (self-loop) -> golden block {1, 2} -> swap block {3, 4}
+    M = [
+        [1, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 1, 1, 1, 0],
+        [0, 0, 0, 0, 1],
+        [0, 0, 0, 1, 0],
+    ]
+    pr = perron(M)
+    assert pr.method == "scc"
+    assert pr.iterations == perron(golden).iterations + perron(swap).iterations
+    assert pr.iterations > 0
+    assert pr.v[3] == pr.v[4] == 0 and pr.v[0] > 0
+
+
+def _reach(M):
+    """reach[i][j]: a path of length >= 0 runs from cell i to cell j."""
+    n = len(M)
+    r = [[i == j or M[i][j] == 1 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if r[i][k]:
+                for j in range(n):
+                    if r[k][j]:
+                        r[i][j] = True
+    return r
+
+
+def _class_radius(M, c):
+    if len(c) == 1:
+        (i,) = c
+        return float(M[i][i])
+    sub = [[M[i][j] for j in sorted(c)] for i in sorted(c)]
+    return largest_root_bisect(char_poly(sub), len(c) + 1)
+
+
+def _block_triangular(rng):
+    """Random 0/1 matrix whose diagonal blocks feed only later blocks."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    n = sum(sizes)
+    M = [[0] * n for _ in range(n)]
+    for b, (lo, m) in enumerate(zip(starts, sizes)):
+        density = rng.choice((0.0, 0.5, 1.0))
+        for i in range(lo, lo + m):
+            for j in range(lo, lo + m):
+                M[i][j] = int(rng.random() < density)
+            for j in range(lo + m, n):
+                M[i][j] = int(rng.random() < 0.3)
+    return M
 
 
 def test_perron_matches_char_poly_oracle():
@@ -230,13 +289,32 @@ def test_perron_matches_char_poly_oracle():
         M = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         if all(any(row) for row in M):
             cases.append(M)
+    flat, chart = flatten(parse_graph(fixtures.COLLAPSING_CIRCLE))
+    cases.append(markov_closure(fixtures.low_trapezoid(), 100).matrix)
+    cases.append(markov_closure(flat, 200, extra_seeds=chart.cut_points).matrix)
+    rng = random.Random(20261019)
+    cases.extend(_block_triangular(rng) for _ in range(12))
     for M in cases:
-        try:
-            pr = perron(M, max_iterations=20000)
-        except NonConvergence:
-            continue
-        root = largest_root_bisect(char_poly(M), len(M) + 1)
-        assert abs(float(pr.beta) - root) < 1e-9, (M, float(pr.beta), root)
+        n = len(M)
+        pr = perron(M)
+        beta = float(pr.beta)
+        root = largest_root_bisect(char_poly(M), n + 1)
+        assert abs(beta - root) < 1e-9, (M, beta, root)
+        v = [float(x) for x in pr.v]
+        assert min(v) >= 0 and abs(sum(v) - 1) < 1e-12, (M, v)
+        resid = max(abs(sum(v[j] for j in range(n) if M[i][j]) - beta * v[i])
+                    for i in range(n))
+        assert resid < 1e-12, (M, resid)
+        # v lives on a basic class (radius beta) that no other basic
+        # class reaches, and on the cells that reach it
+        reach = _reach(M)
+        classes = {frozenset(j for j in range(n) if reach[i][j] and reach[j][i])
+                   for i in range(n)}
+        basic = [c for c in classes if abs(_class_radius(M, c) - root) < 1e-9]
+        targets = [c for c in basic
+                   if not any(d != c and reach[min(d)][min(c)] for d in basic)]
+        assert any(all(pr.v[i] == 0 for i in range(n) if not reach[i][min(c)])
+                   for c in targets), (M, v)
 
 
 # -- mixing diagnostics ----------------------------------------------------------
