@@ -24,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .markov import MarkovStructure, markov_closure, structure_from_points
-from .numeric import format_decimal, generic_log
+from .numeric import format_decimal
 from .pwmap import (
     LEFT,
     RIGHT,
@@ -45,9 +45,7 @@ DEFAULT_GRID = 4096
 @dataclass(frozen=True)
 class ApproxConfig:
     n: int
-    delta: Fraction
     points: tuple
-    shadow_depth: int
     distance: Fraction           # exact sup distance to the source map
 
 
@@ -118,7 +116,7 @@ def markov_approx(f: PwaMap, n: int,
         raise VerificationError(
             f"approximation construction missed its bound: dist={dist}"
         )
-    return g, ApproxConfig(n, delta, tuple(P), shadow_depth, dist)
+    return g, ApproxConfig(n, tuple(P), dist)
 
 
 @dataclass(frozen=True)
@@ -279,11 +277,9 @@ class PipelineTrace:
     gamma: float
     residual: ResidualReport
     entropy_trend: float
-    entropy_gap: float
     converged: bool
     markov_exact: bool
     conjugacy: bool              # psi is injective: see _is_conjugacy
-    warnings: tuple = ()
 
     @property
     def cauchy_gaps(self) -> tuple:
@@ -314,7 +310,9 @@ def normalize(f: PwaMap, target: float = 1e-4,
     approximation schedule runs until two successive factor maps differ
     by less than `target` on the common grid (4096 equispaced points
     plus the breakpoints of f); a schedule that ends above `target`
-    returns a trace flagged non-converged.
+    returns a trace flagged non-converged.  A step whose approximant has
+    beta <= 1 keeps its row and beta_i but gets no factor map and no
+    gap, so the next gap compares the steps on either side of it.
     """
     ent = entropy_lapcount(f, depth=entropy_depth,
                            max_nodes=entropy_node_budget)
@@ -327,7 +325,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
         s = None
     if s is not None and float(s.beta) > 1:
         psi = build_psi(s, min(target, 1e-6) / 8, max_table_points=4097)
-        g = build_constant_slope(s, psi, provenance="markov-exact")
+        g = build_constant_slope(s, psi)
         res = verify_semiconjugacy(f, g.map, psi, grid_points=grid_points)
         gamma = float(s.beta)
         return PipelineTrace(
@@ -341,7 +339,6 @@ def normalize(f: PwaMap, target: float = 1e-4,
             gamma=gamma,
             residual=res,
             entropy_trend=ent.trend,
-            entropy_gap=abs(float(generic_log(s.beta)) - ent.trend),
             converged=True,
             markov_exact=True,
             conjugacy=_is_conjugacy(f, psi, True),
@@ -355,7 +352,6 @@ def normalize(f: PwaMap, target: float = 1e-4,
         | {a + width * Fraction(k, grid_points) for k in range(grid_points + 1)}
     )
     indices, betas, gap_rows, psis = [], [], [], []
-    warnings = []
     prev_vals = None
     last = None  # (structure, psi)
     converged = False
@@ -367,7 +363,6 @@ def normalize(f: PwaMap, target: float = 1e-4,
         indices.append(n)
         betas.append(float(s_n.beta))
         if float(s_n.beta) <= 1:
-            warnings.append(f"step {n}: beta <= 1, factor map skipped")
             gap_rows.append(None)
             continue
         psi_n = build_psi(s_n, min(target, 1e-4) / 8,
@@ -389,8 +384,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
         raise NonConvergence("no schedule step produced beta > 1")
     s_fin, psi_fin = last
     slope_tol = 1e-6 if s_fin.numeric == "float" else 1e-9
-    g_fin = build_constant_slope(s_fin, psi_fin, slope_rel_tol=slope_tol,
-                                 provenance=f"approx-{indices[-1]}")
+    g_fin = build_constant_slope(s_fin, psi_fin, slope_rel_tol=slope_tol)
     res = verify_semiconjugacy(f, g_fin.map, psi_fin, grid_points=grid_points)
     gamma = float(s_fin.beta)
     return PipelineTrace(
@@ -404,9 +398,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
         gamma=gamma,
         residual=res,
         entropy_trend=ent.trend,
-        entropy_gap=abs(float(generic_log(s_fin.beta)) - ent.trend),
         converged=converged,
         markov_exact=False,
         conjugacy=_is_conjugacy(f, psi_fin, converged),
-        warnings=tuple(warnings),
     )

@@ -41,12 +41,15 @@ class CommandResult:
     summary: dict = field(default_factory=dict)
 
 
-def _load_map(path: str) -> PwaMap:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}")
-    return parse_pwa(text)
+
+
+def _load_map(path: str) -> PwaMap:
+    return parse_pwa(_read(path))
 
 
 def _write(path: str, text: str, result: CommandResult) -> None:
@@ -157,7 +160,7 @@ def cmd_approx(args) -> CommandResult:
 def cmd_verify(args) -> CommandResult:
     f = _load_map(args.f)
     g = _load_map(args.g)
-    psi = psi_from_tsv(Path(args.psi).read_text())
+    psi = psi_from_tsv(_read(args.psi))
     rep = approximation.verify_semiconjugacy(f, g, psi,
                                              grid_points=args.grid,
                                              snap_to_table=True)
@@ -210,11 +213,14 @@ def cmd_phi(args) -> CommandResult:
         f"modality_out={nf.modality_out}",
     ]
     _write(str(outdir / "evidence.txt"), "\n".join(evidence) + "\n", res)
+    if not nf.trace.converged:
+        res.exit_code = NonConvergence.exit_code
+        res.summary["error"] = "cauchy criterion not met by schedule end"
     return res
 
 
 def cmd_flatten(args) -> CommandResult:
-    gm = graphmap.parse_graph(Path(args.file).read_text())
+    gm = graphmap.parse_graph(_read(args.file))
     flat, chart = graphmap.flatten(gm)
     res = CommandResult()
     a, b = flat.domain
@@ -227,6 +233,8 @@ def cmd_flatten(args) -> CommandResult:
 
 
 def cmd_plot(args) -> CommandResult:
+    if args.samples < 1:
+        raise PreconditionError("--samples must be at least 1")
     f = _load_map(args.file)
     a, b = f.domain
     width = b - a

@@ -84,7 +84,6 @@ class QuotientResult:
     # pieces of fhat below the quotient's resolution.  They shrink
     # geometrically with depth.
     leak_plateau_count: int = 0
-    leak_plateau_length: Fraction = Fraction(0)
 
     def to_tsv(self) -> str:
         lines = ["lo\thi"]
@@ -201,10 +200,8 @@ def psm_reduce(f: PwaMap, depth: int = 16,
         raise PreconditionError("quotient degenerates to a point at this depth")
     psi0 = _collapse_map(a, b, collapse, span)
     fhat = _factor_map(f, psi0, collapse)
-    leaks = [seg for seg in fhat.segments if seg.slope == 0]
-    leak_len = sum((seg.x1 - seg.x0 for seg in leaks), Fraction(0))
-    return QuotientResult(tuple(collapse), psi0, fhat, depth,
-                          len(leaks), leak_len)
+    leaks = sum(1 for seg in fhat.segments if seg.slope == 0)
+    return QuotientResult(tuple(collapse), psi0, fhat, depth, leaks)
 
 
 def _flag_intervals(pts, codes, flagged):

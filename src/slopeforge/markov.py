@@ -466,6 +466,8 @@ def transition_matrix(f: PwaMap, cells: Sequence[Tuple[Fraction, Fraction]]):
 
 def parse_matrix(text: str):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty matrix text")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "matrix":
         raise FormatError(f"bad matrix header: {lines[0]!r}")

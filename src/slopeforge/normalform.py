@@ -12,7 +12,6 @@ heuristic otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,7 +22,6 @@ from .approximation import (
     verify_semiconjugacy,
     normalize,
 )
-from .coding import psm_reduce
 from .entropy import entropy_lapcount
 from .errors import BudgetExceeded, NonConvergence, PreconditionError
 from .markov import MarkovStructure, is_mixing_matrix, markov_closure
@@ -38,8 +36,7 @@ EVIDENCE_UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class NormalForm:
-    psi: PsiTable                  # factor map of the strictly monotone stage
-    psi0: Optional[PwaMap]         # pre-quotient when the input had plateaus
+    psi: PsiTable                  # the factor map; constant on every plateau
     g: ConstantSlopeMap
     conjugacy: bool
     transitivity_evidence: str
@@ -50,11 +47,8 @@ class NormalForm:
     constant_slope_input: bool = False
 
     def psi_eval(self, x):
-        """The full factor map (including the plateau quotient stage)."""
-        x = Fraction(x)
-        if self.psi0 is not None:
-            x = self.psi0.eval(x)
-        return self.psi.eval(x)
+        """The factor map at x."""
+        return self.psi.eval(Fraction(x))
 
 
 def _uniform_slope(f: PwaMap, rel_tol: float):
@@ -109,11 +103,16 @@ def _transitivity_evidence(f: PwaMap, s: Optional[MarkovStructure]) -> str:
 
 def normal_form(f: PwaMap, target: float = 1e-6,
                 schedule: Optional[Sequence[int]] = None,
-                reduce_depth: int = 16,
                 slope_rel_tol: float = SLOPE_DETECT_REL_TOL,
                 grid_points: int = 4096,
                 force_pipeline: bool = False) -> NormalForm:
-    """Constant-slope form of a continuous map of positive entropy."""
+    """Constant-slope form of a continuous map of positive entropy.
+
+    Plateaus need no reduction first: the Perron vector is zero on
+    constant cells, so psi collapses them and their preimages, and the
+    result is then only a semiconjugacy.  A non-Markov map with a
+    plateau is rejected by the approximation step.
+    """
     if not f.is_continuous:
         raise PreconditionError(
             "the normal-form operator is defined on continuous maps"
@@ -125,7 +124,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
     slope = None if force_pipeline else _uniform_slope(f, slope_rel_tol)
     if slope is not None:
         psi = _identity_psi(f)
-        g = ConstantSlopeMap(f, float(slope), provenance="constant-slope-input")
+        g = ConstantSlopeMap(f, float(slope))
         residual = verify_semiconjugacy(f, f, psi, grid_points=grid_points)
         try:
             s = markov_closure(f, max_points=512)
@@ -135,7 +134,6 @@ def normal_form(f: PwaMap, target: float = 1e-6,
         trace = _trivial_trace(psi, g, residual, ent)
         return NormalForm(
             psi=psi,
-            psi0=None,
             g=g,
             conjugacy=trace.conjugacy,
             transitivity_evidence=evidence,
@@ -146,13 +144,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
             constant_slope_input=True,
         )
 
-    psi0 = None
-    work = f
-    if f.has_plateau:
-        q = psm_reduce(f, depth=reduce_depth)
-        psi0 = q.psi0
-        work = q.fhat
-    trace = normalize(work, target=target, schedule=schedule,
+    trace = normalize(f, target=target, schedule=schedule,
                       grid_points=grid_points)
     psi = trace.final_psi
     g = trace.final_g
@@ -160,9 +152,8 @@ def normal_form(f: PwaMap, target: float = 1e-6,
         f, trace.final_structure if trace.markov_exact else None)
     return NormalForm(
         psi=psi,
-        psi0=psi0,
         g=g,
-        conjugacy=psi0 is None and trace.conjugacy,
+        conjugacy=trace.conjugacy,
         transitivity_evidence=evidence,
         modality_in=modality(f),
         modality_out=modality(g.map),
@@ -184,7 +175,6 @@ def _trivial_trace(psi, g, residual, ent) -> PipelineTrace:
         gamma=gamma,
         residual=residual,
         entropy_trend=ent.trend,
-        entropy_gap=abs(math.log(gamma) - ent.trend) if gamma > 0 else 0.0,
         converged=True,
         markov_exact=False,
         conjugacy=True,

@@ -387,7 +387,6 @@ def build_psi(s: MarkovStructure, target_err: float,
 class ConstantSlopeMap:
     map: PwaMap
     slope: float
-    provenance: str
 
     @property
     def max_slope_deviation(self) -> float:
@@ -401,8 +400,7 @@ class ConstantSlopeMap:
 
 
 def build_constant_slope(s: MarkovStructure, psi: PsiTable,
-                         slope_rel_tol: float = 1e-9,
-                         provenance: str = "") -> ConstantSlopeMap:
+                         slope_rel_tol: float = 1e-9) -> ConstantSlopeMap:
     """Image map g on [0,1]: nodes at psi(P) valued psi(f(P +-)).
 
     Collapsed cells contribute no nodes (consecutive P points with equal
@@ -449,7 +447,7 @@ def build_constant_slope(s: MarkovStructure, psi: PsiTable,
             )
         )
     g = PwaMap.from_triples(nodes)
-    cs = ConstantSlopeMap(g, float(beta), provenance)
+    cs = ConstantSlopeMap(g, float(beta))
     if cs.max_slope_deviation > slope_rel_tol:
         raise VerificationError(
             f"piece slopes deviate from beta by {cs.max_slope_deviation:.3e}; "
@@ -557,6 +555,8 @@ def psi_from_tsv(text: str) -> PsiTable:
         x = parse_rational(cols[2] if len(cols) > 2 else cols[0])
         xs.append(x)
         ys.append(float(cols[1]))
+    if not xs:
+        raise FormatError("psi TSV has no rows")
     if xs != sorted(xs):
         raise FormatError("psi TSV rows must be sorted by x")
     gap = max((ys[i + 1] - ys[i] for i in range(len(ys) - 1)), default=1.0)

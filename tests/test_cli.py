@@ -166,6 +166,31 @@ def test_phi_bundle(capsys, skew_file, tmp_path):
     assert "evidence=matrix_primitive" in (outdir / "evidence.txt").read_text()
 
 
+def test_phi_trapezoid_is_a_semiconjugacy(capsys, tmp_path):
+    p = tmp_path / "trap.pwa"
+    p.write_text(serialize_pwa(fixtures.trapezoid()))
+    outdir = tmp_path / "bundle"
+    code, summary, _ = run(capsys, ["phi", str(p), "--out-dir", str(outdir)])
+    assert code == 0
+    assert summary["beta"] == ["2"]
+    assert summary["conjugacy"] == ["false"]
+    assert "error" not in summary
+    g = parse_pwa((outdir / "g.pwa").read_text())
+    assert sup_dist(g, fixtures.tent()) == 0
+
+
+def test_phi_unconverged_schedule_exits_4(capsys, tmp_path):
+    p = tmp_path / "bimodal.pwa"
+    p.write_text(serialize_pwa(fixtures.bimodal_nonmarkov()))
+    outdir = tmp_path / "bundle"
+    code, summary, _ = run(capsys, ["phi", str(p), "--out-dir", str(outdir)])
+    assert code == 4
+    assert summary["error"] == ["cauchy criterion not met by schedule end"]
+    assert (outdir / "g.pwa").exists()
+    assert (outdir / "psi.tsv").exists()
+    assert (outdir / "evidence.txt").exists()
+
+
 def test_phi_rejects_jump_map(capsys, tmp_path):
     p = tmp_path / "dbl.pwa"
     p.write_text(serialize_pwa(fixtures.doubling()))
@@ -181,6 +206,17 @@ def test_flatten_command(capsys, tmp_path):
     assert code == 0
     flat = parse_pwa(Path(out).read_text())
     assert flat == fixtures.doubling()
+
+
+@pytest.mark.parametrize("command", ["verify", "flatten"])
+def test_missing_file_is_a_parse_error(capsys, tent_file, tmp_path, command):
+    missing = str(tmp_path / "missing")
+    argv = {"verify": ["verify", tent_file, tent_file, missing],
+            "flatten": ["flatten", missing]}[command]
+    code, summary, out = run(capsys, argv)
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert summary["error"][0].startswith("parse")
 
 
 def test_normalize_collapsing_circle_is_not_conjugacy(capsys, tmp_path):
@@ -213,6 +249,14 @@ def test_plot_jump_duplicates(capsys, tmp_path):
     rows = [tuple(float(v) for v in ln.split("\t"))
             for ln in out.splitlines() if "\t" in ln]
     assert rows.count((0.5, 1.0)) == 1 and rows.count((0.5, 0.0)) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_plot_rejects_samples_below_one(capsys, tent_file, samples):
+    code, summary, out = run(capsys, ["plot", tent_file, "--samples", samples])
+    assert code == 3
+    assert len(out.splitlines()) == 1
+    assert summary["error"][0].startswith("precondition")
 
 
 def test_determinism(capsys, skew_file, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from slopeforge import fixtures
-from slopeforge.errors import BudgetExceeded, PreconditionError
+from slopeforge.errors import BudgetExceeded, FormatError, PreconditionError
 from slopeforge.graphmap import flatten, parse_graph
 from slopeforge.markov import (
     is_markov,
@@ -180,6 +180,12 @@ def test_transition_rejects_non_monotone_cell():
 def test_matrix_text_round_trip():
     M = [[1, 1, 0], [0, 0, 1], [1, 0, 1]]
     assert parse_matrix(serialize_matrix(M)) == M
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_parse_matrix_empty_is_format_error(text):
+    with pytest.raises(FormatError, match="empty"):
+        parse_matrix(text)
 
 
 # -- perron ---------------------------------------------------------------------

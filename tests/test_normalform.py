@@ -58,6 +58,33 @@ def test_phi_rejects_zero_entropy():
         normal_form(fixtures.identity_map())
 
 
+def test_phi_collapses_trapezoid_plateau_through_psi():
+    nf = normal_form(fixtures.trapezoid())
+    assert nf.g.slope == 2.0
+    assert sup_dist(nf.g.map, fixtures.tent()) == 0
+    assert nf.psi.collapse_intervals
+    assert not nf.conjugacy
+    # the plateau and its preimages collapse to the tent's critical point
+    assert nf.psi_eval(F(2, 5)) == nf.psi_eval(F(1, 2)) == nf.psi_eval(F(3, 5))
+    assert abs(float(nf.psi_eval(F(1, 2))) - 0.5) < 1e-12
+
+
+def test_phi_plateau_below_the_top_gives_golden_slope():
+    f = PwaMap.from_pairs([(0, 0), (F(2, 5), F(9, 10)),
+                           (F(3, 5), F(9, 10)), (1, 0)])
+    nf = normal_form(f)
+    assert abs(nf.g.slope - (1 + 5 ** 0.5) / 2) < 1e-12
+    assert nf.residual.residual < 1e-9
+    assert not nf.conjugacy
+
+
+def test_phi_non_markov_plateau_needs_reduce_first():
+    f = PwaMap.from_pairs([(0, F(3, 10)), (F(1, 10), F(3, 10)),
+                           (F(11, 20), 1), (1, F(3, 10))])
+    with pytest.raises(PreconditionError, match="constant lap"):
+        normal_form(f)
+
+
 def test_phi_reports_modalities():
     nf = normal_form(fixtures.skew_tent(F(5, 12)))
     assert nf.modality_in == 1

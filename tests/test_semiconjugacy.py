@@ -4,7 +4,7 @@ import pytest
 
 from slopeforge import fixtures
 from slopeforge.approximation import markov_approx
-from slopeforge.errors import PreconditionError
+from slopeforge.errors import FormatError, PreconditionError
 from slopeforge.markov import markov_closure, refine, structure_from_points
 from slopeforge.pwmap import PwaMap, preimage_points, sup_dist
 from slopeforge.semiconjugacy import (
@@ -271,3 +271,8 @@ def test_psi_tsv_round_trip():
     assert back.xs == t.xs
     for a, b in zip(back.ys, t.ys):
         assert abs(a - float(b)) < 1e-14
+
+
+def test_psi_tsv_without_rows_is_a_format_error():
+    with pytest.raises(FormatError, match="no rows"):
+        psi_from_tsv("x\tpsi\n")
