@@ -40,6 +40,8 @@ from .semiconjugacy import ConstantSlopeMap, PsiTable, build_constant_slope, bui
 DEFAULT_SCHEDULE = (2, 4, 8, 16, 32)
 DEFAULT_SHADOW_DEPTH = 8
 DEFAULT_GRID = 4096
+MAX_APPROX_POINTS = 500_000
+ENTROPY_NODE_BUDGET = 4096     # lap counting of the positivity gate stops here
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,7 @@ class ApproxConfig:
 
 
 def markov_approx(f: PwaMap, n: int,
-                  shadow_depth: Optional[int] = None,
-                  max_points: int = 500_000) -> Tuple[PwaMap, ApproxConfig]:
+                  shadow_depth: Optional[int] = None) -> Tuple[PwaMap, ApproxConfig]:
     """Markov map within 1/n of f, affine between the points of P.
 
     P contains the lap-endpoint orbits of f^k for k up to shadow_depth
@@ -96,9 +97,9 @@ def markov_approx(f: PwaMap, n: int,
         grid_n *= 2
     for k in range(grid_n + 1):
         pts.add(a + width * Fraction(k, grid_n))
-    if len(pts) > max_points:
+    if len(pts) > MAX_APPROX_POINTS:
         raise PreconditionError(
-            f"approximation needs {len(pts)} points (> {max_points})"
+            f"approximation needs {len(pts)} points (> {MAX_APPROX_POINTS})"
         )
     P = sorted(pts)
 
@@ -188,21 +189,29 @@ class ResidualReport:
     slope_histogram: tuple       # ((|slope|, count), ...) sorted
 
 
-def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
-                         grid_points: int = DEFAULT_GRID,
-                         snap_to_table: bool = False) -> ResidualReport:
-    """sup over the grid of |psi(f(x)) - g(psi(x))|, one-sided at jumps.
-
-    The grid is equispaced plus every breakpoint of f; with
-    snap_to_table the grid snaps to the psi table support, so detached
-    tables are evaluated only where they are exact.
-    """
+def _grid(f: PwaMap, grid_points: int) -> set:
+    """grid_points + 1 equispaced points of the domain plus every
+    breakpoint of f."""
+    if grid_points < 1:
+        raise PreconditionError("the grid needs at least 1 interval")
     a, b = f.domain
     width = b - a
-    grid = {n.x for n in f.nodes}
-    for k in range(grid_points + 1):
-        grid.add(a + width * Fraction(k, grid_points))
-    if snap_to_table or psi.structure is None:
+    return ({n.x for n in f.nodes}
+            | {a + width * Fraction(k, grid_points) for k in range(grid_points + 1)})
+
+
+def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
+                         grid_points: int = DEFAULT_GRID) -> ResidualReport:
+    """sup over the grid of |psi(f(x)) - g(psi(x))|, one-sided at jumps.
+
+    The grid is equispaced plus every breakpoint of f (see _grid); a
+    detached table (no structure) snaps it to the table support, so it
+    is evaluated only where it is exact.
+    """
+    a, b = f.domain
+    grid = _grid(f, grid_points)
+    fast = psi.structure is not None
+    if not fast:
         snapped = set()
         txs = psi.xs
         for x in grid:
@@ -213,7 +222,6 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
             if i > 0:
                 snapped.add(txs[i - 1])
         grid = snapped
-    fast = psi.structure is not None
     continuous = f.is_continuous
     worst = 0.0
     for x in sorted(grid):
@@ -285,14 +293,14 @@ class PipelineTrace:
     def cauchy_gaps(self) -> tuple:
         return tuple(g for g in self.gap_rows if g is not None)
 
-    def to_tsv(self, sig: int = 15) -> str:
+    def to_tsv(self) -> str:
         lines = ["i\tbeta_i\tcauchy_gap\tresidual"]
         for k, i in enumerate(self.indices):
-            gap = "" if self.gap_rows[k] is None else format_decimal(self.gap_rows[k], sig)
+            gap = "" if self.gap_rows[k] is None else format_decimal(self.gap_rows[k])
             res = ""
             if k == len(self.indices) - 1:
-                res = format_decimal(self.residual.residual, sig)
-            lines.append(f"{i}\t{format_decimal(self.betas[k], sig)}\t{gap}\t{res}")
+                res = format_decimal(self.residual.residual)
+            lines.append(f"{i}\t{format_decimal(self.betas[k])}\t{gap}\t{res}")
         return "\n".join(lines) + "\n"
 
 
@@ -301,21 +309,19 @@ def normalize(f: PwaMap, target: float = 1e-4,
               grid_points: int = DEFAULT_GRID,
               markov_budget: int = 512,
               entropy_depth: int = 14,
-              entropy_node_budget: int = 4096,
-              shadow_depth: Optional[int] = None,
               markov_seeds: Sequence[Fraction] = ()) -> PipelineTrace:
     """Semiconjugate f to a constant-slope map.
 
     Markov maps are handled exactly in one step.  Otherwise the
     approximation schedule runs until two successive factor maps differ
-    by less than `target` on the common grid (4096 equispaced points
-    plus the breakpoints of f); a schedule that ends above `target`
-    returns a trace flagged non-converged.  A step whose approximant has
-    beta <= 1 keeps its row and beta_i but gets no factor map and no
-    gap, so the next gap compares the steps on either side of it.
+    by less than `target` on the grid of verify_semiconjugacy; a
+    schedule that ends above `target` returns a trace flagged
+    non-converged.  A step whose approximant has beta <= 1 keeps its row
+    and beta_i but gets no factor map and no gap, so the next gap
+    compares the steps on either side of it.
     """
     ent = entropy_lapcount(f, depth=entropy_depth,
-                           max_nodes=entropy_node_budget)
+                           max_nodes=ENTROPY_NODE_BUDGET)
     if not ent.positive:
         raise PreconditionError("entropy estimate not positive")
     try:
@@ -345,18 +351,13 @@ def normalize(f: PwaMap, target: float = 1e-4,
         )
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
-    a, b = f.domain
-    width = b - a
-    grid = sorted(
-        {n.x for n in f.nodes}
-        | {a + width * Fraction(k, grid_points) for k in range(grid_points + 1)}
-    )
+    grid = sorted(_grid(f, grid_points))
     indices, betas, gap_rows, psis = [], [], [], []
     prev_vals = None
     last = None  # (structure, psi)
     converged = False
     for n in schedule:
-        g_n, cfg = markov_approx(f, n, shadow_depth=shadow_depth)
+        g_n, cfg = markov_approx(f, n)
         # g_n is within 1/n of f, so float64 Perron data is accurate
         # far beyond what the approximation itself carries
         s_n = structure_from_points(g_n, cfg.points, numeric="float")

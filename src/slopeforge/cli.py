@@ -3,8 +3,9 @@
 Commands: entropy, markov-check, normalize, approx, verify, reduce,
 phi, flatten, plot.  Exit codes: 0 success (all verifications within
 tolerance), 2 parse error, 3 precondition violation, 4 non-convergence
-or exhausted budget, 5 verification failure.  All numeric rendering is
-fixed at 15 significant digits, so identical inputs produce
+or exhausted budget, 5 verification failure; every nonzero exit prints
+one `error=<class> message=...` line.  All numeric rendering is fixed
+at numeric.SIG_DIGITS significant digits, so identical inputs produce
 byte-identical artifacts.
 """
 
@@ -31,14 +32,23 @@ from .numeric import format_decimal, format_rational, parse_rational
 from .pwmap import PwaMap, laps, parse_pwa, serialize_pwa
 from .semiconjugacy import psi_from_tsv, psi_to_tsv
 
-SIG = 15
+# the `error=` class of each exception, most specific first
+ERROR_CLASSES = (
+    (FormatError, "parse"),
+    (PreconditionError, "precondition"),
+    ((BudgetExceeded, NonConvergence), "non-convergence"),
+    (VerificationError, "verification"),
+    (SlopeforgeError, "failure"),
+)
 
 
 @dataclass
 class CommandResult:
-    exit_code: int = 0
     artifacts: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    # a command that finished its work but missed its target; main
+    # prints it after the summary and exits with its code
+    error: SlopeforgeError | None = None
 
 
 def _read(path: str) -> str:
@@ -57,7 +67,15 @@ def _write(path: str, text: str, result: CommandResult) -> None:
     result.artifacts.append(path)
 
 
-def _serialize_decimal(f: PwaMap, sig: int = SIG) -> str:
+def _csv(text: str, parse) -> list:
+    """A comma-separated option value, each item through parse."""
+    try:
+        return [parse(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise FormatError(f"bad list {text!r}: {exc}")
+
+
+def _serialize_decimal(f: PwaMap) -> str:
     """PWA v1 with decimal literals (inexact rendering of the nodes)."""
     a, b = f.domain
     out = ["pwa 1", f"domain {format_rational(a)} {format_rational(b)}",
@@ -68,8 +86,8 @@ def _serialize_decimal(f: PwaMap, sig: int = SIG) -> str:
                 return "-"
             if v.denominator == 1:
                 return str(v.numerator)
-            return format_decimal(v, sig)
-        out.append(f"{format_decimal(n.x, sig) if n.x.denominator != 1 else n.x.numerator}"
+            return format_decimal(v)
+        out.append(f"{format_decimal(n.x) if n.x.denominator != 1 else n.x.numerator}"
                    f" {render(n.y_left)} {render(n.y_right)}")
     return "\n".join(str(x) for x in out) + "\n"
 
@@ -81,15 +99,15 @@ def cmd_entropy(args) -> CommandResult:
     rep = compute_entropy(f, depth=args.depth,
                           markov_points=args.markov_points)
     res = CommandResult()
-    res.summary["h_est"] = format_decimal(rep.h_est, SIG)
+    res.summary["h_est"] = format_decimal(rep.h_est)
     if rep.spectral is not None:
-        res.summary["h_spectral"] = format_decimal(rep.spectral, SIG)
+        res.summary["h_spectral"] = format_decimal(rep.spectral)
         res.summary["agreed"] = "true" if rep.agreed else "false"
     res.summary["positive"] = "true" if rep.positive else "false"
     if rep.note:
         res.summary["note"] = rep.note
     if args.out:
-        _write(args.out, rep.to_tsv(SIG), res)
+        _write(args.out, rep.to_tsv(), res)
     return res
 
 
@@ -97,7 +115,7 @@ def cmd_markov_check(args) -> CommandResult:
     f = _load_map(args.file)
     res = CommandResult()
     if args.points:
-        pts = [parse_rational(tok) for tok in args.points.split(",")]
+        pts = _csv(args.points, parse_rational)
         chk = is_markov(f, sorted(pts))
         res.summary["markov"] = "true" if chk.ok else "false"
         if not chk.ok:
@@ -112,7 +130,7 @@ def cmd_markov_check(args) -> CommandResult:
         return res
     res.summary["markov"] = "true"
     res.summary["points"] = ",".join(format_rational(p) for p in s.points)
-    res.summary["beta"] = format_decimal(float(s.beta), SIG)
+    res.summary["beta"] = format_decimal(float(s.beta))
     return res
 
 
@@ -120,13 +138,13 @@ def cmd_normalize(args) -> CommandResult:
     f = _load_map(args.file)
     schedule = None
     if args.schedule:
-        schedule = [int(t) for t in args.schedule.split(",")]
+        schedule = _csv(args.schedule, int)
     trace = approximation.normalize(f, target=args.tol, schedule=schedule,
                                     grid_points=args.grid)
     res = CommandResult()
     psi = trace.final_psi
-    res.summary["beta"] = format_decimal(trace.gamma, SIG)
-    res.summary["residual"] = format_decimal(trace.residual.residual, SIG)
+    res.summary["beta"] = format_decimal(trace.gamma)
+    res.summary["residual"] = format_decimal(trace.residual.residual)
     res.summary["conjugacy"] = "true" if trace.conjugacy else "false"
     res.summary["converged"] = "true" if trace.converged else "false"
     res.summary["markov_exact"] = "true" if trace.markov_exact else "false"
@@ -134,12 +152,11 @@ def cmd_normalize(args) -> CommandResult:
     if args.out:
         _write(args.out, _serialize_decimal(trace.final_g.map), res)
     if args.psi:
-        _write(args.psi, psi_to_tsv(psi, SIG), res)
+        _write(args.psi, psi_to_tsv(psi), res)
     if args.trace:
-        _write(args.trace, trace.to_tsv(SIG), res)
+        _write(args.trace, trace.to_tsv(), res)
     if not trace.converged:
-        res.exit_code = NonConvergence.exit_code
-        res.summary["error"] = "cauchy criterion not met by schedule end"
+        res.error = NonConvergence("cauchy criterion not met by schedule end")
     return res
 
 
@@ -161,16 +178,13 @@ def cmd_verify(args) -> CommandResult:
     f = _load_map(args.f)
     g = _load_map(args.g)
     psi = psi_from_tsv(_read(args.psi))
-    rep = approximation.verify_semiconjugacy(f, g, psi,
-                                             grid_points=args.grid,
-                                             snap_to_table=True)
+    rep = approximation.verify_semiconjugacy(f, g, psi, grid_points=args.grid)
     res = CommandResult()
-    res.summary["residual"] = format_decimal(rep.residual, SIG)
+    res.summary["residual"] = format_decimal(rep.residual)
     res.summary["grid"] = str(rep.grid_points)
-    res.summary["tolerance"] = format_decimal(args.tol, SIG)
+    res.summary["tolerance"] = format_decimal(args.tol)
     if rep.residual > args.tol:
-        res.exit_code = VerificationError.exit_code
-        res.summary["error"] = "residual above tolerance"
+        res.error = VerificationError("residual above tolerance")
     return res
 
 
@@ -194,16 +208,16 @@ def cmd_phi(args) -> CommandResult:
     f = _load_map(args.file)
     nf = normalform.normal_form(f, target=args.tol)
     res = CommandResult()
-    res.summary["beta"] = format_decimal(nf.g.slope, SIG)
+    res.summary["beta"] = format_decimal(nf.g.slope)
     res.summary["conjugacy"] = "true" if nf.conjugacy else "false"
     res.summary["evidence"] = nf.transitivity_evidence
-    res.summary["residual"] = format_decimal(nf.residual.residual, SIG)
+    res.summary["residual"] = format_decimal(nf.residual.residual)
     res.summary["modality_in"] = str(nf.modality_in)
     res.summary["modality_out"] = str(nf.modality_out)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write(str(outdir / "g.pwa"), _serialize_decimal(nf.g.map), res)
-    _write(str(outdir / "psi.tsv"), psi_to_tsv(nf.psi, SIG), res)
+    _write(str(outdir / "psi.tsv"), psi_to_tsv(nf.psi), res)
     evidence = [
         f"conjugacy={res.summary['conjugacy']}",
         f"evidence={nf.transitivity_evidence}",
@@ -214,8 +228,7 @@ def cmd_phi(args) -> CommandResult:
     ]
     _write(str(outdir / "evidence.txt"), "\n".join(evidence) + "\n", res)
     if not nf.trace.converged:
-        res.exit_code = NonConvergence.exit_code
-        res.summary["error"] = "cauchy criterion not met by schedule end"
+        res.error = NonConvergence("cauchy criterion not met by schedule end")
     return res
 
 
@@ -251,7 +264,7 @@ def cmd_plot(args) -> CommandResult:
         else:
             vals = [f.eval(x)]
         for v in vals:
-            lines.append(f"{format_decimal(x, SIG)}\t{format_decimal(v, SIG)}")
+            lines.append(f"{format_decimal(x)}\t{format_decimal(v)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         _write(args.out, text, res)
@@ -336,26 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _report(exc: SlopeforgeError) -> int:
+    """Print the one error line of a nonzero exit; return its exit code."""
+    name = next(n for cls, n in ERROR_CLASSES if isinstance(exc, cls))
+    print(f"error={name} message={str(exc)!r}")
+    return exc.exit_code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
-    except FormatError as exc:
-        print(f"error=parse message={str(exc)!r}")
-        return FormatError.exit_code
-    except PreconditionError as exc:
-        print(f"error=precondition message={str(exc)!r}")
-        return PreconditionError.exit_code
-    except (BudgetExceeded, NonConvergence) as exc:
-        print(f"error=non-convergence message={str(exc)!r}")
-        return BudgetExceeded.exit_code
-    except VerificationError as exc:
-        print(f"error=verification message={str(exc)!r}")
-        return VerificationError.exit_code
     except SlopeforgeError as exc:
-        print(f"error=failure message={str(exc)!r}")
-        return SlopeforgeError.exit_code
+        return _report(exc)
     stdout_payload = result.summary.pop("_stdout", None)
     for key, value in result.summary.items():
         print(f"{key}={value}")
@@ -363,7 +370,9 @@ def main(argv=None) -> int:
         print(f"artifact={path}")
     if stdout_payload is not None:
         sys.stdout.write(stdout_payload)
-    return result.exit_code
+    if result.error is not None:
+        return _report(result.error)
+    return 0
 
 
 if __name__ == "__main__":

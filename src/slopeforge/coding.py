@@ -21,6 +21,8 @@ from .errors import BudgetExceeded, PreconditionError
 from .numeric import format_rational
 from .pwmap import LEFT, RIGHT, PwaMap, laps, preimage_sweep
 
+MAX_CODING_POINTS = 500_000
+
 
 @dataclass(frozen=True)
 class Itinerary:
@@ -28,22 +30,20 @@ class Itinerary:
     ambiguous_at: tuple          # positions sitting on a shared lap endpoint
 
 
-def _lap_location(lap_list, lap_los, p, prefer_left=True):
-    """(lap index, ambiguous); shared endpoints take the left lap unless
-    the right-lap convention is requested."""
+def _lap_location(lap_list, lap_los, p):
+    """(lap index, ambiguous); shared endpoints take the left lap."""
     i = bisect.bisect_right(lap_los, p) - 1
     if i > 0 and lap_list[i].lo == p:
-        return (i - 1 if prefer_left else i), True
+        return i - 1, True
     if i < 0:
         i = 0
     return i, False
 
 
-def _step_point(f: PwaMap, p: Fraction, ambiguous: bool,
-                prefer_left: bool = True) -> Fraction:
+def _step_point(f: PwaMap, p: Fraction, ambiguous: bool) -> Fraction:
     """Orbit step matching the lap convention at ambiguous points."""
     a, b = f.domain
-    if p > a and ((ambiguous and prefer_left) or p == b):
+    if p > a and (ambiguous or p == b):
         return f.eval(p, LEFT)
     return f.eval(p, RIGHT)
 
@@ -92,8 +92,7 @@ class QuotientResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell_codes(f: PwaMap, pts, depth: int, lap_list, lap_los,
-                prefer_left: bool = True):
+def _cell_codes(f: PwaMap, pts, depth: int, lap_list, lap_los):
     """Per cell: (code word, degenerate-within-depth flag, image interval).
 
     Image intervals are tracked exactly through one-sided endpoint
@@ -110,9 +109,9 @@ def _cell_codes(f: PwaMap, pts, depth: int, lap_list, lap_los,
         for _ in range(depth):
             if lo == hi:
                 degenerate = True
-                j, ambiguous = _lap_location(lap_list, lap_los, lo, prefer_left)
+                j, ambiguous = _lap_location(lap_list, lap_los, lo)
                 word.append(j)
-                lo = hi = _step_point(f, lo, ambiguous, prefer_left)
+                lo = hi = _step_point(f, lo, ambiguous)
                 if first_image is None:
                     first_image = (lo, hi)
                 continue
@@ -131,13 +130,10 @@ def _cell_codes(f: PwaMap, pts, depth: int, lap_list, lap_los,
     return out
 
 
-def psm_reduce(f: PwaMap, depth: int = 16,
-               max_points: int = 500_000,
-               prefer_left: bool = True) -> QuotientResult:
+def psm_reduce(f: PwaMap, depth: int = 16) -> QuotientResult:
     """Collapse depth-d code classes and factor f through the quotient.
 
-    prefer_left picks the resolution of shared-endpoint codes; both
-    resolutions must produce the same quotient on well-posed inputs.
+    Shared lap endpoints code to the left lap, as in itinerary.
     """
     ent = entropy_lapcount(f, depth=min(depth, 10))
     if not ent.positive:
@@ -153,15 +149,15 @@ def psm_reduce(f: PwaMap, depth: int = 16,
     for _ in range(depth - 1):
         new = preimage_sweep(f, cur) - pts
         pts |= new
-        if len(pts) > max_points:
+        if len(pts) > MAX_CODING_POINTS:
             raise BudgetExceeded(
-                f"coding partition exceeded {max_points} points"
+                f"coding partition exceeded {MAX_CODING_POINTS} points"
             )
         cur = sorted(new)
         if not cur:
             break
     pts = sorted(pts)
-    codes = _cell_codes(f, pts, depth, lap_list, lap_los, prefer_left)
+    codes = _cell_codes(f, pts, depth, lap_list, lap_los)
     ncells = len(pts) - 1
     flagged = [False] * ncells
     i = 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PreconditionError
 from .markov import MarkovStructure, markov_closure
 from .numeric import format_decimal, generic_log
 from .pwmap import DEFAULT_NODE_BUDGET, PwaMap, iterates, laps
@@ -41,14 +41,14 @@ class EntropyReport:
     def h_est(self) -> float:
         return self.trend
 
-    def to_tsv(self, sig: int = 15) -> str:
+    def to_tsv(self) -> str:
         lines = ["n\tc_n\testimate"]
         for i, (c, est) in enumerate(zip(self.lap_counts, self.lap_estimates)):
-            lines.append(f"{i + 1}\t{c}\t{format_decimal(est, sig)}")
-        lines.append(f"trend\t\t{format_decimal(self.trend, sig)}")
-        lines.append(f"fekete\t\t{format_decimal(self.fekete, sig)}")
+            lines.append(f"{i + 1}\t{c}\t{format_decimal(est)}")
+        lines.append(f"trend\t\t{format_decimal(self.trend)}")
+        lines.append(f"fekete\t\t{format_decimal(self.fekete)}")
         if self.spectral is not None:
-            lines.append(f"spectral\t\t{format_decimal(self.spectral, sig)}")
+            lines.append(f"spectral\t\t{format_decimal(self.spectral)}")
             lines.append(f"agreed\t\t{'true' if self.agreed else 'false'}")
         if self.note:
             lines.append(f"note\t\t{self.note}")
@@ -60,17 +60,17 @@ def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH,
     """Exact c_1..c_depth and the derived estimates.
 
     On node-budget exhaustion the report is truncated and flagged
-    rather than failing.
+    rather than failing; c_1 needs no composition, so it is always there.
     """
+    if depth < 1:
+        raise PreconditionError("lap-count depth must be >= 1")
     counts = []
     truncated = False
     try:
-        for g in islice(iterates(f, max_nodes), max(depth, 0)):
+        for g in islice(iterates(f, max_nodes), depth):
             counts.append(len(laps(g)))
     except BudgetExceeded:
         truncated = True
-    if not counts:
-        raise BudgetExceeded("node budget too small for a single iterate")
     estimates = tuple(math.log(c) / (i + 1) for i, c in enumerate(counts))
     if len(counts) >= 2:
         trend = math.log(counts[-1] / counts[-2])
@@ -95,11 +95,9 @@ def entropy_spectral(s: MarkovStructure) -> float:
 
 
 def entropy(f: PwaMap, depth: int = DEFAULT_DEPTH,
-            markov_points: int = 512,
-            max_nodes: int = DEFAULT_NODE_BUDGET,
-            agreement_gap: float = AGREEMENT_GAP) -> EntropyReport:
+            markov_points: int = 512) -> EntropyReport:
     """Lap-count report, with the spectral value when a Markov set closes."""
-    report = entropy_lapcount(f, depth=depth, max_nodes=max_nodes)
+    report = entropy_lapcount(f, depth=depth)
     try:
         s = markov_closure(f, max_points=markov_points)
     except BudgetExceeded:
@@ -112,7 +110,7 @@ def entropy(f: PwaMap, depth: int = DEFAULT_DEPTH,
         fekete=report.fekete,
         trend=report.trend,
         spectral=spectral,
-        agreed=gap < agreement_gap,
+        agreed=gap < AGREEMENT_GAP,
         gap=gap,
         positive=report.positive,
         truncated=report.truncated,
@@ -120,7 +118,6 @@ def entropy(f: PwaMap, depth: int = DEFAULT_DEPTH,
     )
 
 
-def is_entropy_positive(f: PwaMap, depth: int = DEFAULT_DEPTH,
-                        max_nodes: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_entropy_positive(f: PwaMap) -> bool:
     """Positive lap-count estimate: some iterate has more than one lap."""
-    return entropy_lapcount(f, depth=depth, max_nodes=max_nodes).positive
+    return entropy_lapcount(f).positive

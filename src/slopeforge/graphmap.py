@@ -20,11 +20,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .approximation import PipelineTrace, normalize
-from .entropy import entropy_lapcount
 from .errors import FormatError, PreconditionError
-from .numeric import parse_rational
-from .pwmap import LEFT, RIGHT, Node, PwaMap
+from .pwmap import LEFT, RIGHT, Node, PwaMap, parse_node_line
 from .semiconjugacy import ConstantSlopeMap, PsiTable
+
+# psi-length at or below which an edge (or a vertex's spread of g
+# values) counts as collapsed
+EDGE_COLLAPSE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,19 +118,17 @@ def parse_graph(text: str) -> GraphMapSpec:
         if i >= len(lines):
             raise FormatError("missing nodes after path line")
         head = lines[i].split()
-        if head[0] != "nodes" or head[1] != eid:
-            raise FormatError(f"expected 'nodes {eid}', got {lines[i]!r}")
-        k = int(head[2])
+        if len(head) != 3 or head[0] != "nodes" or head[1] != eid:
+            raise FormatError(f"expected 'nodes {eid} <k>', got {lines[i]!r}")
+        try:
+            k = int(head[2])
+        except ValueError:
+            raise FormatError(f"bad node count: {head[2]!r}")
         node_lines = lines[i + 1:i + 1 + k]
         if len(node_lines) != k:
             raise FormatError(f"truncated chart nodes for edge {eid}")
-        nodes = []
-        for ln in node_lines:
-            fx, fl, fr = ln.split()
-            nodes.append((parse_rational(fx),
-                          None if fl == "-" else parse_rational(fl),
-                          None if fr == "-" else parse_rational(fr)))
-        chart = PwaMap.from_triples(nodes, selfmap=False)
+        chart = PwaMap([parse_node_line(ln) for ln in node_lines],
+                       selfmap=False)
         actions[eid] = EdgeAction(tuple(word), chart)
         i += 1 + k
     gm = GraphMapSpec(graph, actions)
@@ -303,13 +303,9 @@ class GraphNormalForm:
 
 
 def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
-                    schedule: Optional[Sequence[int]] = None,
-                    collapse_tol: float = 1e-9) -> GraphNormalForm:
+                    schedule: Optional[Sequence[int]] = None) -> GraphNormalForm:
     """Run the pipeline on the flattened map and lift the result."""
     flat, chart = flatten(gm)
-    ent = entropy_lapcount(flat, depth=10, max_nodes=4096)
-    if not ent.positive:
-        raise PreconditionError("entropy estimate not positive")
     graph = gm.graph
     E = len(graph.edges)
     trace = normalize(flat, target=target, schedule=schedule,
@@ -323,7 +319,7 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
     for k, (eid, _, _) in enumerate(graph.edges):
         ln = cutpsi[k + 1] - cutpsi[k]
         edge_lengths[eid] = ln
-        if ln <= collapse_tol:
+        if ln <= EDGE_COLLAPSE_TOL:
             collapsed_edges.append(eid)
     pieces = []
     for lo, hi in psi.collapse_intervals:
@@ -368,11 +364,11 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
                 vals.append(g.map.eval_float(z, side))
         if vals:
             spread = max(vals) - min(vals)
-            same = spread <= max(collapse_tol, 8 * psi.error_bound)
+            same = spread <= max(EDGE_COLLAPSE_TOL, 8 * psi.error_bound)
             if not same:
                 # distinct numeric values may still be identified points
                 same = _same_quotient_point(vals, cutpsi, vertex_classes,
-                                            graph, collapse_tol)
+                                            graph, EDGE_COLLAPSE_TOL)
             continuity_report.append((v, spread, same))
             ok = ok and same
     return GraphNormalForm(

@@ -27,6 +27,8 @@ from .pwmap import LEFT, RIGHT, PwaMap, laps
 
 MP_MATRIX_CAP = 600          # above this the Perron solver switches to float64
 DENSE_MATRIX_CAP = 4096      # guard for materializing list-of-lists matrices
+PERRON_TOL = 1e-12           # accepted residual |Mv - beta v| per unit of beta
+MAX_POWER_STEPS = 50000      # steps of one component solve before giving up
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +191,7 @@ def _restrict(rows, members, comp_of, ci) -> list:
     return out
 
 
-def perron(M, tol: float = 1e-12, numeric: str = "auto",
-           max_iterations: int = 50000) -> PerronResult:
+def perron(M, numeric: str = "auto") -> PerronResult:
     """Spectral radius and nonnegative right eigenvector of a 0/1 matrix.
 
     One path for every matrix, through the condensation (Frobenius
@@ -201,7 +202,8 @@ def perron(M, tol: float = 1e-12, numeric: str = "auto",
     (radius beta) that no other basic class reaches, extended by
     back-substitution of (beta I - M) x = inflow through the components
     that reach it, sinks first, and is zero elsewhere.  An irreducible
-    matrix is one component.
+    matrix is one component.  numeric "auto" solves in mpmath up to
+    MP_MATRIX_CAP cells and in float64 above.
     """
     rows = _rows_from_matrix(M)
     n = len(rows)
@@ -231,8 +233,7 @@ def perron(M, tol: float = 1e-12, numeric: str = "auto",
             local.append([one])
             continue
         radius, x, steps = _power_iteration(_restrict(rows, comp, comp_of, ci),
-                                            len(comp), one, zero, conv,
-                                            max_iterations)
+                                            len(comp), one, zero, conv)
         iterations += steps
         radii.append(radius)
         local.append(x)
@@ -268,12 +269,12 @@ def perron(M, tol: float = 1e-12, numeric: str = "auto",
                     s = s + x[w]
             inflow.append(s)
         y, steps = _upstream_solve(_restrict(rows, comp, comp_of, ci), inflow,
-                                   beta, radii[ci], zero, conv, max_iterations)
+                                   beta, radii[ci], zero, conv)
         iterations += steps
         for v, yv in zip(comp, y):
             x[v] = yv
     v, residual = _normalize_eigenpair(rows, x, beta, zero)
-    if residual > tol * max(float(beta), 1.0):
+    if residual > PERRON_TOL * max(float(beta), 1.0):
         raise NonConvergence(f"Perron residual {residual:.3e} above tol*beta")
     warning = None
     if beta <= 1:
@@ -283,17 +284,17 @@ def perron(M, tol: float = 1e-12, numeric: str = "auto",
                         warning=warning)
 
 
-def _power_iteration(rows, n, one, zero, conv, max_iterations):
+def _power_iteration(rows, n, one, zero, conv):
     """(radius, eigenvector, steps) of an irreducible matrix.
 
     Power iteration on M + I: the shift makes an irreducible matrix
     primitive, so the iteration converges whatever its period.  After
-    max_iterations it returns its last iterate, and the caller's
+    MAX_POWER_STEPS it returns its last iterate, and the caller's
     residual test decides.
     """
     x = [one / n for _ in range(n)]
     lam = one
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_POWER_STEPS + 1):
         mx = _matvec(rows, x, zero)
         y = [mx[i] + x[i] for i in range(n)]
         num = zero
@@ -309,10 +310,10 @@ def _power_iteration(rows, n, one, zero, conv, max_iterations):
         x = [yi / total for yi in y]
         if float(resid) <= conv * float(lam):
             return lam - 1, x, it
-    return lam - 1, x, max_iterations
+    return lam - 1, x, MAX_POWER_STEPS
 
 
-def _upstream_solve(rows, inflow, beta, radius, zero, conv, max_iterations):
+def _upstream_solve(rows, inflow, beta, radius, zero, conv):
     """(y, steps) solving (beta I - M) y = inflow on one component.
 
     The component's radius is below beta.  A singleton is one division;
@@ -322,14 +323,14 @@ def _upstream_solve(rows, inflow, beta, radius, zero, conv, max_iterations):
     if len(rows) == 1:
         return [inflow[0] / (beta - radius)], 0
     y = [zero] * len(rows)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_POWER_STEPS + 1):
         my = _matvec(rows, y, zero)
         ny = [(inflow[k] + my[k]) / beta for k in range(len(rows))]
         delta = max(abs(ny[k] - y[k]) for k in range(len(rows)))
         y = ny
         if float(delta) <= conv * max(float(beta), 1.0):
             return y, it
-    return y, max_iterations
+    return y, MAX_POWER_STEPS
 
 
 def _normalize_eigenpair(rows, x, beta, zero):
@@ -518,18 +519,6 @@ class MarkovStructure:
     def cell_count(self) -> int:
         return len(self.points) - 1
 
-    @property
-    def matrix(self):
-        """Dense 0/1 matrix (guarded; structures can be large)."""
-        k = self.cell_count
-        if k > DENSE_MATRIX_CAP:
-            raise BudgetExceeded("structure too large for a dense matrix")
-        out = [[0] * k for _ in range(k)]
-        for i, (lo, hi) in enumerate(self.covers):
-            for j in range(lo, hi):
-                out[i][j] = 1
-        return out
-
     def prefix_sums(self):
         """V[0..K] with V[i] = sum of v over the first i cells."""
         zero = self.v[0] * 0
@@ -542,7 +531,6 @@ class MarkovStructure:
 
 
 def structure_from_points(f: PwaMap, points: Sequence[Fraction],
-                          tol: float = 1e-12,
                           numeric: str = "auto") -> MarkovStructure:
     """Validate P and assemble the full structure (matrix + Perron pair)."""
     check = is_markov(f, points)
@@ -566,18 +554,13 @@ def structure_from_points(f: PwaMap, points: Sequence[Fraction],
                 f"cell image endpoint not in P: [{ylo}, {yhi}]"
             )
         covers.append((lo, hi))
-    n = len(pts) - 1
-    mode = numeric
-    if numeric == "auto":
-        mode = "float" if n > MP_MATRIX_CAP else "mp"
-    pr = perron(covers, tol=tol, numeric=mode)
+    pr = perron(covers, numeric=numeric)
+    mode = "float" if isinstance(pr.beta, float) else "mp"  # perron's choice
     return MarkovStructure(f, tuple(pts), tuple(directions), tuple(covers),
                            pr, mode)
 
 
 def markov_closure(f: PwaMap, max_points: int = 4096,
-                   tol: float = 1e-12,
-                   numeric: str = "auto",
                    extra_seeds: Sequence[Fraction] = ()) -> MarkovStructure:
     """Close the lap-endpoint set under exact one-sided images.
 
@@ -607,7 +590,7 @@ def markov_closure(f: PwaMap, max_points: int = 4096,
             if y not in pts:
                 pts.add(y)
                 frontier.append(y)
-    return structure_from_points(f, sorted(pts), tol=tol, numeric=numeric)
+    return structure_from_points(f, sorted(pts))
 
 
 # ---------------------------------------------------------------------------

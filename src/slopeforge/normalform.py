@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .approximation import (
+    ENTROPY_NODE_BUDGET,
     PipelineTrace,
     ResidualReport,
     verify_semiconjugacy,
@@ -29,6 +30,8 @@ from .pwmap import RIGHT, PwaMap, modality, sup_dist
 from .semiconjugacy import ConstantSlopeMap, PsiTable
 
 SLOPE_DETECT_REL_TOL = 1e-9
+ORBIT_SAMPLES = 4096           # dense-orbit evidence: orbit length ...
+ORBIT_BINS = 64                # ... and the bins it must all visit
 EVIDENCE_PRIMITIVE = "matrix_primitive"
 EVIDENCE_ORBIT = "dense_orbit_sample"
 EVIDENCE_UNKNOWN = "unknown"
@@ -51,13 +54,14 @@ class NormalForm:
         return self.psi.eval(Fraction(x))
 
 
-def _uniform_slope(f: PwaMap, rel_tol: float):
-    """The common |slope| when all pieces agree within rel_tol, else None."""
+def _uniform_slope(f: PwaMap):
+    """The common |slope| when all pieces agree within
+    SLOPE_DETECT_REL_TOL, else None."""
     mags = [abs(seg.slope) for seg in f.segments if seg.slope != 0]
     if not mags or f.has_plateau:
         return None
     top, bot = max(mags), min(mags)
-    if float(top - bot) <= rel_tol * float(top):
+    if float(top - bot) <= SLOPE_DETECT_REL_TOL * float(top):
         return top
     return None
 
@@ -80,14 +84,13 @@ def _identity_psi(f: PwaMap) -> PsiTable:
     )
 
 
-def _dense_orbit_evidence(f: PwaMap, samples: int = 4096,
-                          bins: int = 64) -> str:
+def _dense_orbit_evidence(f: PwaMap) -> str:
     lo, hi = f.domain
     a, b, width = float(lo), float(hi), float(hi - lo)
     x = a + width * 0.6180339887498949
-    hit = [False] * bins
-    for _ in range(samples):
-        k = min(int((x - a) / width * bins), bins - 1)
+    hit = [False] * ORBIT_BINS
+    for _ in range(ORBIT_SAMPLES):
+        k = min(int((x - a) / width * ORBIT_BINS), ORBIT_BINS - 1)
         hit[k] = True
         x = min(max(f.eval_float(x, RIGHT), a), b)
     return EVIDENCE_ORBIT if all(hit) else EVIDENCE_UNKNOWN
@@ -103,29 +106,28 @@ def _transitivity_evidence(f: PwaMap, s: Optional[MarkovStructure]) -> str:
 
 def normal_form(f: PwaMap, target: float = 1e-6,
                 schedule: Optional[Sequence[int]] = None,
-                slope_rel_tol: float = SLOPE_DETECT_REL_TOL,
-                grid_points: int = 4096,
                 force_pipeline: bool = False) -> NormalForm:
     """Constant-slope form of a continuous map of positive entropy.
 
     Plateaus need no reduction first: the Perron vector is zero on
     constant cells, so psi collapses them and their preimages, and the
     result is then only a semiconjugacy.  A non-Markov map with a
-    plateau is rejected by the approximation step.
+    plateau is rejected by the approximation step.  Positivity of the
+    entropy is checked once per run: here on the constant-slope fast
+    path, inside normalize otherwise.
     """
     if not f.is_continuous:
         raise PreconditionError(
             "the normal-form operator is defined on continuous maps"
         )
-    ent = entropy_lapcount(f, depth=10, max_nodes=4096)
-    if not ent.positive:
-        raise PreconditionError("entropy estimate not positive")
-
-    slope = None if force_pipeline else _uniform_slope(f, slope_rel_tol)
+    slope = None if force_pipeline else _uniform_slope(f)
     if slope is not None:
+        ent = entropy_lapcount(f, depth=10, max_nodes=ENTROPY_NODE_BUDGET)
+        if not ent.positive:
+            raise PreconditionError("entropy estimate not positive")
         psi = _identity_psi(f)
         g = ConstantSlopeMap(f, float(slope))
-        residual = verify_semiconjugacy(f, f, psi, grid_points=grid_points)
+        residual = verify_semiconjugacy(f, f, psi)
         try:
             s = markov_closure(f, max_points=512)
         except (BudgetExceeded, NonConvergence):
@@ -144,8 +146,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
             constant_slope_input=True,
         )
 
-    trace = normalize(f, target=target, schedule=schedule,
-                      grid_points=grid_points)
+    trace = normalize(f, target=target, schedule=schedule)
     psi = trace.final_psi
     g = trace.final_g
     evidence = _transitivity_evidence(

@@ -19,6 +19,9 @@ from fractions import Fraction
 from .errors import PreconditionError
 
 DEFAULT_PRECISION_BITS = 128
+# significant digits of every decimal the package writes; fixing them is
+# what makes identical inputs give byte-identical artifacts
+SIG_DIGITS = 15
 
 
 def precision_bits() -> int:
@@ -35,8 +38,8 @@ def precision_bits() -> int:
     return bits
 
 
-def mp_context(bits: int | None = None) -> mpmath.ctx_mp.MPContext:
-    """A fresh mpmath context at the requested precision.
+def mp_context() -> mpmath.ctx_mp.MPContext:
+    """A fresh mpmath context at precision_bits().
 
     Using a local context keeps library calls independent of the global
     mpmath state a host application may have configured.  A malformed
@@ -44,11 +47,10 @@ def mp_context(bits: int | None = None) -> mpmath.ctx_mp.MPContext:
     """
     import mpmath
 
-    if bits is None:
-        try:
-            bits = precision_bits()
-        except ValueError as exc:
-            raise PreconditionError(str(exc)) from exc
+    try:
+        bits = precision_bits()
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from exc
     ctx = mpmath.mp.clone()
     ctx.prec = bits
     return ctx
@@ -93,8 +95,8 @@ def rationalize(value, digits: int = 40) -> Fraction:
     return frac if out == frac else out
 
 
-def format_decimal(value, sig: int = 15) -> str:
-    """Fixed-significant-digit decimal rendering (deterministic)."""
+def format_decimal(value) -> str:
+    """Decimal rendering at SIG_DIGITS significant digits (deterministic)."""
     import mpmath
 
     if isinstance(value, Fraction):
@@ -104,8 +106,8 @@ def format_decimal(value, sig: int = 15) -> str:
     if isinstance(value, (int,)):
         return str(value)
     if isinstance(value, float):
-        return f"{value:.{sig}g}"
-    return mpmath.nstr(value, sig, strip_zeros=False)
+        return f"{value:.{SIG_DIGITS}g}"
+    return mpmath.nstr(value, SIG_DIGITS, strip_zeros=False)
 
 
 def format_rational(x: Fraction) -> str:

@@ -532,6 +532,21 @@ def orbit_one_sided(f: PwaMap, x: Fraction, side: str, k: int) -> list:
 # -- PWA v1 text format ------------------------------------------------------
 
 
+def parse_node_line(ln: str) -> Node:
+    """One ``<x> <y_left|-> <y_right|->`` node line, as in PWA v1 and in
+    the chart sections of the graph format."""
+    fields = ln.split()
+    if len(fields) != 3:
+        raise FormatError(f"bad node line: {ln!r}")
+    try:
+        x = parse_rational(fields[0])
+        yl = None if fields[1] == "-" else parse_rational(fields[1])
+        yr = None if fields[2] == "-" else parse_rational(fields[2])
+    except ValueError as exc:
+        raise FormatError(str(exc))
+    return Node(x, yl, yr)
+
+
 def parse_pwa(text: str) -> PwaMap:
     """Parse the PWA v1 text format.
 
@@ -563,21 +578,11 @@ def parse_pwa(text: str) -> PwaMap:
     if len(lines) != 3 + k:
         raise FormatError(f"expected {k} node lines, found {len(lines) - 3}")
     nodes = []
-    prev_x = None
     for ln in lines[3:]:
-        fields = ln.split()
-        if len(fields) != 3:
-            raise FormatError(f"bad node line: {ln!r}")
-        try:
-            x = parse_rational(fields[0])
-            yl = None if fields[1] == "-" else parse_rational(fields[1])
-            yr = None if fields[2] == "-" else parse_rational(fields[2])
-        except ValueError as exc:
-            raise FormatError(str(exc))
-        if prev_x is not None and x <= prev_x:
-            raise FormatError(f"non-increasing x at {format_rational(x)}")
-        prev_x = x
-        nodes.append(Node(x, yl, yr))
+        node = parse_node_line(ln)
+        if nodes and node.x <= nodes[-1].x:
+            raise FormatError(f"non-increasing x at {format_rational(node.x)}")
+        nodes.append(node)
     if nodes[0].x != a or nodes[-1].x != b:
         raise FormatError("first/last node must sit on the domain endpoints")
     return PwaMap(nodes)

@@ -39,6 +39,7 @@ from .pwmap import LEFT, RIGHT, PwaMap, laps, locate_leq
 
 COLLAPSE_TOL = 1e-12
 DEFAULT_TABLE_POINTS = 16385
+MAX_CERT_DEPTH = 4096
 NODE_DIGITS = 40
 # float filter of the fast descent (u = 2^-53 is the unit roundoff):
 # relative slack per step and per comparison, and an absolute floor that
@@ -341,15 +342,13 @@ def _psi_table(s: MarkovStructure, r: Refinement, depth: int) -> PsiTable:
     )
 
 
-def psi_on_points(s: MarkovStructure, depth: int,
-                  max_points: int = 2_000_000) -> PsiTable:
+def psi_on_points(s: MarkovStructure, depth: int) -> PsiTable:
     """Exact psi on the full refinement point set P_depth."""
-    return _psi_table(s, refine(s, depth, max_points=max_points), depth)
+    return _psi_table(s, refine(s, depth), depth)
 
 
 def build_psi(s: MarkovStructure, target_err: float,
-              max_table_points: int = DEFAULT_TABLE_POINTS,
-              max_depth: int = 4096) -> PsiTable:
+              max_table_points: int = DEFAULT_TABLE_POINTS) -> PsiTable:
     """Choose the certification depth for target_err and build the table.
 
     The table materializes the deepest refinement that stays within
@@ -366,9 +365,9 @@ def build_psi(s: MarkovStructure, target_err: float,
     while float(power) >= target_err:
         depth += 1
         power = power / beta
-        if depth > max_depth:
+        if depth > MAX_CERT_DEPTH:
             raise BudgetExceeded(
-                f"target_err {target_err} needs depth > {max_depth}"
+                f"target_err {target_err} needs depth > {MAX_CERT_DEPTH}"
             )
     try:
         for r in refinements(s, max_points=max_table_points):
@@ -532,11 +531,11 @@ def check_compatibility(f: PwaMap, psi: PsiTable,
 # TSV interchange
 # ---------------------------------------------------------------------------
 
-def psi_to_tsv(psi: PsiTable, sig: int = 15) -> str:
+def psi_to_tsv(psi: PsiTable) -> str:
     lines = ["x\tpsi\tx_exact"]
     for x, y in zip(psi.xs, psi.ys):
         lines.append(
-            f"{format_decimal(x, sig)}\t{format_decimal(y, sig)}\t{format_rational(x)}"
+            f"{format_decimal(x)}\t{format_decimal(y)}\t{format_rational(x)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -552,9 +551,13 @@ def psi_from_tsv(text: str) -> PsiTable:
         cols = ln.split("\t")
         if len(cols) < 2:
             raise FormatError(f"bad psi TSV row: {ln!r}")
-        x = parse_rational(cols[2] if len(cols) > 2 else cols[0])
-        xs.append(x)
-        ys.append(float(cols[1]))
+        try:
+            xs.append(parse_rational(cols[2] if len(cols) > 2 else cols[0]))
+            ys.append(float(cols[1]))
+        except ValueError as exc:
+            raise FormatError(f"bad psi TSV row: {ln!r}: {exc}")
+        if not 0 <= ys[-1] <= 1:  # also nan, which verify would score as 0
+            raise FormatError(f"psi value outside [0, 1]: {ln!r}")
     if not xs:
         raise FormatError("psi TSV has no rows")
     if xs != sorted(xs):

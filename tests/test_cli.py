@@ -183,9 +183,11 @@ def test_phi_unconverged_schedule_exits_4(capsys, tmp_path):
     p = tmp_path / "bimodal.pwa"
     p.write_text(serialize_pwa(fixtures.bimodal_nonmarkov()))
     outdir = tmp_path / "bundle"
-    code, summary, _ = run(capsys, ["phi", str(p), "--out-dir", str(outdir)])
+    code, summary, out = run(capsys, ["phi", str(p), "--out-dir", str(outdir)])
     assert code == 4
-    assert summary["error"] == ["cauchy criterion not met by schedule end"]
+    assert summary["error"] == [
+        "non-convergence message='cauchy criterion not met by schedule end'"]
+    assert out.splitlines()[-1].startswith("error=")
     assert (outdir / "g.pwa").exists()
     assert (outdir / "psi.tsv").exists()
     assert (outdir / "evidence.txt").exists()
@@ -265,3 +267,49 @@ def test_determinism(capsys, skew_file, tmp_path):
     run(capsys, ["normalize", skew_file, "--out", str(a1)])
     run(capsys, ["normalize", skew_file, "--out", str(a2)])
     assert a1.read_bytes() == a2.read_bytes()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("0 - 0\n", "0 0\n"),              # a chart node line of 2 tokens
+    ("nodes e 2\n", "nodes\n"),        # a bare nodes line
+    ("1 2 -\n", "1 2x -\n"),           # a node value that is no rational
+], ids=["two_tokens", "bare_nodes", "bad_value"])
+def test_flatten_malformed_chart_is_a_parse_error(capsys, tmp_path, old, new):
+    p = tmp_path / "circle.txt"
+    p.write_text(fixtures.CIRCLE_DOUBLING.replace(old, new))
+    code, summary, out = run(capsys, ["flatten", str(p)])
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert summary["error"][0].startswith("parse")
+
+
+@pytest.mark.parametrize("row", ["0.5\tabc\t1/2", "0.5\t0.5\t1/0",
+                                 "0.5\tnan\t1/2"],
+                         ids=["bad_psi", "bad_x_exact", "nan_psi"])
+def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
+                                                   tmp_path, row):
+    psi = tmp_path / "psi.tsv"
+    psi.write_text(f"x\tpsi\tx_exact\n0\t0\t0\n{row}\n1\t1\t1\n")
+    code, summary, out = run(capsys, ["verify", tent_file, tent_file, str(psi)])
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert summary["error"][0].startswith("parse")
+
+
+@pytest.mark.parametrize("argv,code,kind", [
+    (["normalize", "{f}", "--schedule", "2,a"], 2, "parse"),
+    (["markov-check", "{f}", "--points", "0,x,1"], 2, "parse"),
+    (["normalize", "{f}", "--grid", "0"], 3, "precondition"),
+    (["verify", "{f}", "{f}", "{psi}", "--grid", "0"], 3, "precondition"),
+    (["entropy", "{f}", "--depth", "0"], 3, "precondition"),
+    (["reduce", "{f}", "--depth", "0"], 3, "precondition"),
+], ids=["schedule", "points", "normalize_grid", "verify_grid",
+        "entropy_depth", "reduce_depth"])
+def test_bad_argument_exit_codes(capsys, skew_file, tmp_path, argv, code, kind):
+    psi = tmp_path / "psi.tsv"
+    psi.write_text("x\tpsi\tx_exact\n0\t0\t0\n1\t1\t1\n")
+    argv = [a.format(f=skew_file, psi=psi) for a in argv]
+    got, summary, out = run(capsys, argv)
+    assert got == code
+    assert len(out.splitlines()) == 1
+    assert summary["error"][0].startswith(kind)

@@ -113,14 +113,6 @@ def test_reduce_collapse_classes_persist_with_depth():
     assert a == b
 
 
-def test_reduce_conventions_agree():
-    for d in (4, 6, 8):
-        left = psm_reduce(fixtures.trapezoid(), d, prefer_left=True)
-        right = psm_reduce(fixtures.trapezoid(), d, prefer_left=False)
-        assert left.collapse_intervals == right.collapse_intervals
-        assert left.fhat == right.fhat
-
-
 def test_reduce_low_trapezoid_runs():
     # true entropy is zero but the finite-depth estimate is positive
     q = psm_reduce(fixtures.low_trapezoid(), 6)

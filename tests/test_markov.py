@@ -21,6 +21,11 @@ from slopeforge.pwmap import LEFT, RIGHT, PwaMap, preimage_points
 PHI = (1 + 5**0.5) / 2
 
 
+def dense(s):
+    """The 0/1 transition matrix of a structure, from its map and cells."""
+    return transition_matrix(s.map, list(zip(s.points, s.points[1:])))
+
+
 # -- independent oracle: largest characteristic root by bisection -----------
 
 def char_poly(M):
@@ -296,8 +301,8 @@ def test_perron_matches_char_poly_oracle():
         if all(any(row) for row in M):
             cases.append(M)
     flat, chart = flatten(parse_graph(fixtures.COLLAPSING_CIRCLE))
-    cases.append(markov_closure(fixtures.low_trapezoid(), 100).matrix)
-    cases.append(markov_closure(flat, 200, extra_seeds=chart.cut_points).matrix)
+    cases.append(dense(markov_closure(fixtures.low_trapezoid(), 100)))
+    cases.append(dense(markov_closure(flat, 200, extra_seeds=chart.cut_points)))
     rng = random.Random(20261019)
     cases.extend(_block_triangular(rng) for _ in range(12))
     for M in cases:
@@ -454,7 +459,7 @@ def test_matrix_power_counts_refinement_cells():
     for fx in (fixtures.tent(), fixtures.golden(), fixtures.trapezoid(),
                fixtures.doubling()):
         s = markov_closure(fx, 200)
-        M = s.matrix
+        M = dense(s)
         for n in range(1, 9):
             assert int_matrix_power_sum(M, n) == refine(s, n).nonsingleton_count
 

@@ -1,10 +1,13 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from slopeforge import fixtures
+from slopeforge.entropy import entropy_lapcount
 from slopeforge.errors import PreconditionError
+from slopeforge.graphmap import normalize_graph, parse_graph
 from slopeforge.normalform import (
     EVIDENCE_PRIMITIVE,
     check_gap_bound,
@@ -172,3 +175,25 @@ def test_gap_bound_property_suite():
         chk = check_gap_bound(fmap, gmap)
         assert chk.holds, (fmap.nodes, gmap.nodes)
         checked += 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: normal_form(fixtures.skew_tent(F(5, 12))),
+    lambda: normal_form(fixtures.core_tent32()),  # the constant-slope path
+    lambda: normalize_graph(parse_graph(fixtures.CIRCLE_DOUBLING)),
+], ids=["skew_tent", "core_tent32", "graph_circle_doubling"])
+def test_one_positivity_gate_per_run(monkeypatch, run):
+    # every module binding of entropy_lapcount counts its calls
+    real = entropy_lapcount
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("depth"))
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("slopeforge.")
+                and getattr(mod, "entropy_lapcount", None) is real):
+            monkeypatch.setattr(mod, "entropy_lapcount", counting)
+    run()
+    assert len(calls) == 1, calls

@@ -2,14 +2,25 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopeforge import fixtures, numeric
 from slopeforge.approximation import normalize, verify_semiconjugacy
 from slopeforge.entropy import entropy_lapcount
-from slopeforge.markov import markov_closure, perron, refine
+from slopeforge.errors import FormatError
+from slopeforge.graphmap import parse_graph
+from slopeforge.markov import (
+    markov_closure,
+    parse_matrix,
+    perron,
+    refine,
+    serialize_matrix,
+)
 from slopeforge.pwmap import (
     INCREASING,
     DECREASING,
@@ -21,7 +32,18 @@ from slopeforge.pwmap import (
     serialize_pwa,
     sup_dist,
 )
-from slopeforge.semiconjugacy import build_constant_slope, build_psi
+from slopeforge.semiconjugacy import (
+    PsiTable,
+    build_constant_slope,
+    build_psi,
+    psi_from_tsv,
+    psi_to_tsv,
+)
+
+# deterministic examples and no example database, so a run is
+# reproducible and writes nothing
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
 
 MARKOV_FIXTURES = [fixtures.tent, fixtures.golden,
                    lambda: fixtures.skew_tent(F(5, 12)),
@@ -215,3 +237,92 @@ def test_non_unit_domain_pipeline():
     assert abs(float(nf.psi_eval(F(1, 2))) - 0.5) < 1e-12
     g = nf.g.map
     assert g.domain == (0, 1)
+
+
+# -- hypothesis: round trips and parser fuzzing -----------------------------
+
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**9)
+
+
+@st.composite
+def exact_maps(draw):
+    """A PwaMap on a random rational domain, with or without jumps."""
+    xs = sorted(draw(st.sets(rationals, min_size=2, max_size=8)))
+    values = st.fractions(min_value=xs[0], max_value=xs[-1],
+                          max_denominator=10**9)
+    jumps = draw(st.booleans())
+    triples = []
+    for i, x in enumerate(xs):
+        yl = None if i == 0 else draw(values)
+        if i == len(xs) - 1:
+            yr = None
+        elif i == 0 or jumps:
+            yr = draw(values)
+        else:
+            yr = yl
+        triples.append((x, yl, yr))
+    return PwaMap.from_triples(triples)
+
+
+@PROPERTY
+@given(exact_maps())
+def test_pwa_round_trip_property(f):
+    assert parse_pwa(serialize_pwa(f)) == f
+
+
+@PROPERTY
+@given(st.sets(rationals, min_size=2, max_size=12),
+       st.lists(st.floats(0, 1), min_size=12, max_size=12))
+def test_psi_tsv_round_trip_property(xs, ys):
+    xs = tuple(sorted(xs))
+    ys = tuple(sorted(ys[:len(xs)]))
+    t = PsiTable(depth=0, table_depth=0, xs=xs, ys=ys, beta=None,
+                 error_bound=0.0, collapse_intervals=(), structure=None)
+    back = psi_from_tsv(psi_to_tsv(t))
+    assert back.xs == xs
+    for u, w in zip(back.ys, ys):
+        assert abs(u - w) <= 1e-14
+
+
+PSI_TSV = "x\tpsi\tx_exact\n0\t0\t0\n0.5\t0.5\t1/2\n1\t1\t1\n"
+VALID_DOCUMENTS = {
+    parse_pwa: [serialize_pwa(fixtures.tent()), serialize_pwa(fixtures.doubling())],
+    parse_graph: [fixtures.CIRCLE_DOUBLING, fixtures.TWO_EDGE_WRAP,
+                  fixtures.INTERVAL_TENT, fixtures.COLLAPSING_CIRCLE],
+    psi_from_tsv: [PSI_TSV],
+    parse_matrix: [serialize_matrix([[1, 1], [1, 0]])],
+}
+TOKENS = ["", "-", "0", "1", "2", "-1", "1/2", "1/0", "2x", "0.5", "1e3",
+          "abc", "nan", "inf", "pwa", "domain", "nodes", "graph", "vertex",
+          "edge", "action", "path", "e", "v", "e+", "e-", "matrix", "\t",
+          "\n"]
+
+
+@st.composite
+def mutated(draw, documents):
+    """A valid document with a few whitespace-separated tokens replaced,
+    deleted or duplicated, or plain random text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=60))
+    parts = re.split(r"(\s+)", draw(st.sampled_from(documents)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        new = draw(st.sampled_from(TOKENS) | st.text(max_size=4))
+        parts[i:i + 1] = draw(st.sampled_from([[new], [], [parts[i]] * 2]))
+        if not parts:
+            parts = [""]
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("parse", list(VALID_DOCUMENTS),
+                         ids=lambda p: p.__name__)
+def test_parsers_raise_only_format_error(parse):
+    @PROPERTY
+    @given(mutated(VALID_DOCUMENTS[parse]))
+    def check(text):
+        try:
+            parse(text)
+        except FormatError:
+            pass
+
+    check()
