@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .entropy import entropy_lapcount
+from .entropy import entropy_lapcount, entropy_spectral
 from .errors import (
     BudgetExceeded,
     NonConvergence,
@@ -210,8 +210,7 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
     """
     a, b = f.domain
     grid = _grid(f, grid_points)
-    fast = psi.structure is not None
-    if not fast:
+    if psi.structure is None:
         snapped = set()
         txs = psi.xs
         for x in grid:
@@ -225,13 +224,13 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
     continuous = f.is_continuous
     worst = 0.0
     for x in sorted(grid):
-        zx = float(psi.eval(x, fast=True)) if fast else float(psi.eval(x))
+        zx = float(psi.eval(x, fast=True))
         sides = (RIGHT,) if (continuous and x < b) else (LEFT, RIGHT)
         for side in sides:
             if (side == LEFT and x == a) or (side == RIGHT and x == b):
                 continue
             y = f.eval(x, side)
-            lhs = float(psi.eval(y, fast=True)) if fast else float(psi.eval(y))
+            lhs = float(psi.eval(y, fast=True))
             rhs = g.eval_float(zx, side)
             r = abs(lhs - rhs)
             if r > worst:
@@ -304,6 +303,30 @@ class PipelineTrace:
         return "\n".join(lines) + "\n"
 
 
+def _finish(f: PwaMap, s: MarkovStructure, psi: PsiTable, grid_points: int,
+            *, indices, betas, gap_rows, psis, entropy_trend: float,
+            converged: bool, markov_exact: bool) -> PipelineTrace:
+    """The tail of both routes: g from the final structure and psi,
+    its residual on f, and the trace."""
+    g = build_constant_slope(s, psi)
+    res = verify_semiconjugacy(f, g.map, psi, grid_points=grid_points)
+    return PipelineTrace(
+        indices=tuple(indices),
+        betas=tuple(betas),
+        gap_rows=tuple(gap_rows),
+        psis=tuple(psis),
+        final_psi=psi,
+        final_g=g,
+        final_structure=s,
+        gamma=float(s.beta),
+        residual=res,
+        entropy_trend=entropy_trend,
+        converged=converged,
+        markov_exact=markov_exact,
+        conjugacy=_is_conjugacy(f, psi, converged),
+    )
+
+
 def normalize(f: PwaMap, target: float = 1e-4,
               schedule: Optional[Sequence[int]] = None,
               grid_points: int = DEFAULT_GRID,
@@ -312,43 +335,32 @@ def normalize(f: PwaMap, target: float = 1e-4,
               markov_seeds: Sequence[Fraction] = ()) -> PipelineTrace:
     """Semiconjugate f to a constant-slope map.
 
-    Markov maps are handled exactly in one step.  Otherwise the
-    approximation schedule runs until two successive factor maps differ
-    by less than `target` on the grid of verify_semiconjugacy; a
-    schedule that ends above `target` returns a trace flagged
-    non-converged.  A step whose approximant has beta <= 1 keeps its row
-    and beta_i but gets no factor map and no gap, so the next gap
-    compares the steps on either side of it.
+    Markov maps are handled exactly in one step, and their entropy is
+    positive when beta > 1.  Otherwise the lap counts of f must still
+    grow at entropy_depth, and the approximation schedule runs until two
+    successive factor maps differ by less than `target` on the grid of
+    verify_semiconjugacy; a schedule that ends above `target` returns a
+    trace flagged non-converged.  A step whose approximant has beta <= 1
+    keeps its row and beta_i but gets no factor map and no gap, so the
+    next gap compares the steps on either side of it.
     """
-    ent = entropy_lapcount(f, depth=entropy_depth,
-                           max_nodes=ENTROPY_NODE_BUDGET)
-    if not ent.positive:
-        raise PreconditionError("entropy estimate not positive")
     try:
         s = markov_closure(f, max_points=markov_budget,
                            extra_seeds=markov_seeds)
     except (BudgetExceeded, NonConvergence):
         s = None
-    if s is not None and float(s.beta) > 1:
+    if s is not None:
+        if float(s.beta) <= 1:
+            raise PreconditionError("entropy estimate not positive")
         psi = build_psi(s, min(target, 1e-6) / 8, max_table_points=4097)
-        g = build_constant_slope(s, psi)
-        res = verify_semiconjugacy(f, g.map, psi, grid_points=grid_points)
-        gamma = float(s.beta)
-        return PipelineTrace(
-            indices=(0,),
-            betas=(gamma,),
-            gap_rows=(None,),
-            psis=(psi,),
-            final_psi=psi,
-            final_g=g,
-            final_structure=s,
-            gamma=gamma,
-            residual=res,
-            entropy_trend=ent.trend,
-            converged=True,
-            markov_exact=True,
-            conjugacy=_is_conjugacy(f, psi, True),
-        )
+        return _finish(f, s, psi, grid_points, indices=(0,),
+                       betas=(float(s.beta),), gap_rows=(None,), psis=(psi,),
+                       entropy_trend=entropy_spectral(s), converged=True,
+                       markov_exact=True)
+    ent = entropy_lapcount(f, depth=entropy_depth,
+                           max_nodes=ENTROPY_NODE_BUDGET)
+    if not ent.positive:
+        raise PreconditionError("entropy estimate not positive")
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
     grid = sorted(_grid(f, grid_points))
@@ -384,22 +396,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
     if last is None:
         raise NonConvergence("no schedule step produced beta > 1")
     s_fin, psi_fin = last
-    slope_tol = 1e-6 if s_fin.numeric == "float" else 1e-9
-    g_fin = build_constant_slope(s_fin, psi_fin, slope_rel_tol=slope_tol)
-    res = verify_semiconjugacy(f, g_fin.map, psi_fin, grid_points=grid_points)
-    gamma = float(s_fin.beta)
-    return PipelineTrace(
-        indices=tuple(indices),
-        betas=tuple(betas),
-        gap_rows=tuple(gap_rows),
-        psis=tuple(psis),
-        final_psi=psi_fin,
-        final_g=g_fin,
-        final_structure=s_fin,
-        gamma=gamma,
-        residual=res,
-        entropy_trend=ent.trend,
-        converged=converged,
-        markov_exact=False,
-        conjugacy=_is_conjugacy(f, psi_fin, converged),
-    )
+    return _finish(f, s_fin, psi_fin, grid_points, indices=indices,
+                   betas=betas, gap_rows=gap_rows, psis=psis,
+                   entropy_trend=ent.trend, converged=converged,
+                   markov_exact=False)

@@ -75,23 +75,6 @@ def _csv(text: str, parse) -> list:
         raise FormatError(f"bad list {text!r}: {exc}")
 
 
-def _serialize_decimal(f: PwaMap) -> str:
-    """PWA v1 with decimal literals (inexact rendering of the nodes)."""
-    a, b = f.domain
-    out = ["pwa 1", f"domain {format_rational(a)} {format_rational(b)}",
-           f"nodes {len(f.nodes)}"]
-    for n in f.nodes:
-        def render(v):
-            if v is None:
-                return "-"
-            if v.denominator == 1:
-                return str(v.numerator)
-            return format_decimal(v)
-        out.append(f"{format_decimal(n.x) if n.x.denominator != 1 else n.x.numerator}"
-                   f" {render(n.y_left)} {render(n.y_right)}")
-    return "\n".join(str(x) for x in out) + "\n"
-
-
 # -- commands ----------------------------------------------------------------
 
 def cmd_entropy(args) -> CommandResult:
@@ -150,7 +133,7 @@ def cmd_normalize(args) -> CommandResult:
     res.summary["markov_exact"] = "true" if trace.markov_exact else "false"
     res.summary["g_exact"] = "false"
     if args.out:
-        _write(args.out, _serialize_decimal(trace.final_g.map), res)
+        _write(args.out, serialize_pwa(trace.final_g.map, number=format_decimal), res)
     if args.psi:
         _write(args.psi, psi_to_tsv(psi), res)
     if args.trace:
@@ -216,7 +199,7 @@ def cmd_phi(args) -> CommandResult:
     res.summary["modality_out"] = str(nf.modality_out)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write(str(outdir / "g.pwa"), _serialize_decimal(nf.g.map), res)
+    _write(str(outdir / "g.pwa"), serialize_pwa(nf.g.map, number=format_decimal), res)
     _write(str(outdir / "psi.tsv"), psi_to_tsv(nf.psi), res)
     evidence = [
         f"conjugacy={res.summary['conjugacy']}",

@@ -135,8 +135,9 @@ def psm_reduce(f: PwaMap, depth: int = 16) -> QuotientResult:
 
     Shared lap endpoints code to the left lap, as in itinerary.
     """
-    ent = entropy_lapcount(f, depth=min(depth, 10))
-    if not ent.positive:
+    # a plateau map of zero entropy still has a quotient, so the test is
+    # only that f^N has more than one lap, not that the lap counts grow
+    if entropy_lapcount(f, depth=min(depth, 10)).lap_counts[-1] < 2:
         raise PreconditionError(
             "entropy estimate not positive; quotient degenerates"
         )

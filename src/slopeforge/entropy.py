@@ -11,7 +11,7 @@ while (1/n) log c_n carries a log(C)/n bias for a long time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional
 
@@ -35,11 +35,14 @@ class EntropyReport:
     gap: Optional[float] = None
     positive: bool = False
     truncated: bool = False
-    note: Optional[str] = None
 
     @property
     def h_est(self) -> float:
         return self.trend
+
+    @property
+    def note(self) -> Optional[str]:
+        return None if self.positive else "no positive entropy; normalization undefined"
 
     def to_tsv(self) -> str:
         lines = ["n\tc_n\testimate"]
@@ -61,6 +64,9 @@ def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH,
 
     On node-budget exhaustion the report is truncated and flagged
     rather than failing; c_1 needs no composition, so it is always there.
+    positive means the lap counts still grow, c_N > c_(N-1) (c_1 >= 2
+    for a single count).  That cannot tell linear growth from slow
+    exponential growth; entropy() decides from beta when it can.
     """
     if depth < 1:
         raise PreconditionError("lap-count depth must be >= 1")
@@ -74,10 +80,10 @@ def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH,
     estimates = tuple(math.log(c) / (i + 1) for i, c in enumerate(counts))
     if len(counts) >= 2:
         trend = math.log(counts[-1] / counts[-2])
+        positive = counts[-1] > counts[-2]
     else:
         trend = estimates[0]
-    positive = counts[-1] >= 2
-    note = None if positive else "no positive entropy; normalization undefined"
+        positive = counts[0] >= 2
     return EntropyReport(
         lap_counts=tuple(counts),
         lap_estimates=estimates,
@@ -85,7 +91,6 @@ def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH,
         trend=trend,
         positive=positive,
         truncated=truncated,
-        note=note,
     )
 
 
@@ -96,7 +101,11 @@ def entropy_spectral(s: MarkovStructure) -> float:
 
 def entropy(f: PwaMap, depth: int = DEFAULT_DEPTH,
             markov_points: int = 512) -> EntropyReport:
-    """Lap-count report, with the spectral value when a Markov set closes."""
+    """Lap-count report, with the spectral value when a Markov set closes.
+
+    A closed Markov set decides positivity by beta > 1; otherwise the
+    lap-count growth decides it.
+    """
     report = entropy_lapcount(f, depth=depth)
     try:
         s = markov_closure(f, max_points=markov_points)
@@ -104,20 +113,10 @@ def entropy(f: PwaMap, depth: int = DEFAULT_DEPTH,
         return report
     spectral = entropy_spectral(s)
     gap = abs(report.trend - spectral)
-    return EntropyReport(
-        lap_counts=report.lap_counts,
-        lap_estimates=report.lap_estimates,
-        fekete=report.fekete,
-        trend=report.trend,
-        spectral=spectral,
-        agreed=gap < AGREEMENT_GAP,
-        gap=gap,
-        positive=report.positive,
-        truncated=report.truncated,
-        note=report.note,
-    )
+    return replace(report, spectral=spectral, agreed=gap < AGREEMENT_GAP,
+                   gap=gap, positive=float(s.beta) > 1)
 
 
 def is_entropy_positive(f: PwaMap) -> bool:
-    """Positive lap-count estimate: some iterate has more than one lap."""
-    return entropy_lapcount(f).positive
+    """Positive entropy, as entropy(f) decides it."""
+    return entropy(f).positive

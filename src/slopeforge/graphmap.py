@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .approximation import PipelineTrace, normalize
 from .errors import FormatError, PreconditionError
-from .pwmap import LEFT, RIGHT, Node, PwaMap, parse_node_line
+from .pwmap import LEFT, RIGHT, Node, PwaMap, parse_node_line, preimage_sweep
 from .semiconjugacy import ConstantSlopeMap, PsiTable
 
 # psi-length at or below which an edge (or a vertex's spread of g
@@ -245,14 +245,9 @@ def flatten(gm: GraphMapSpec) -> tuple:
         chart = act.chart
         breakpoints = {Fraction(0), Fraction(1)}
         breakpoints.update(n.x for n in chart.nodes)
-        for seg in chart.segments:
-            if seg.slope == 0:
-                continue
-            lo, hi = sorted((seg.y0, seg.y1))
-            j = int(lo) if lo.denominator == 1 else int(lo) + 1
-            while j <= hi:
-                breakpoints.add(seg.x0 + (j - seg.y0) / seg.slope)
-                j += 1
+        # preimages of the integer path positions (chart values lie in
+        # [0, len(word)])
+        breakpoints |= preimage_sweep(chart, range(len(act.word) + 1))
         for t in sorted(breakpoints):
             x = Fraction(k) + t
             yl = yr = None
@@ -299,7 +294,6 @@ class GraphNormalForm:
     collapse_pieces: tuple       # ((edge id, t_lo, t_hi), ...)
     vertex_classes: tuple        # tuple of frozensets of identified vertices
     continuity_ok: bool
-    continuity_report: tuple
 
 
 def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
@@ -352,7 +346,6 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
         classes.setdefault(find(v), set()).add(v)
     vertex_classes = tuple(frozenset(c) for c in classes.values())
 
-    continuity_report = []
     ok = True
     for v, positions in canon.items():
         vals = []
@@ -369,7 +362,6 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
                 # distinct numeric values may still be identified points
                 same = _same_quotient_point(vals, cutpsi, vertex_classes,
                                             graph, EDGE_COLLAPSE_TOL)
-            continuity_report.append((v, spread, same))
             ok = ok and same
     return GraphNormalForm(
         flat_map=flat,
@@ -382,7 +374,6 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
         collapse_pieces=tuple(pieces),
         vertex_classes=vertex_classes,
         continuity_ok=ok,
-        continuity_report=tuple(continuity_report),
     )
 
 

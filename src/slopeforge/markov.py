@@ -35,11 +35,13 @@ MAX_POWER_STEPS = 50000      # steps of one component solve before giving up
 # cell analysis
 # ---------------------------------------------------------------------------
 
-def _analyze_cell(f: PwaMap, lo: Fraction, hi: Fraction):
+def _analyze_cell(f: PwaMap, lo: Fraction, hi: Fraction, y0: Fraction,
+                  y1: Fraction):
     """(direction, y_lo, y_hi) of f on [lo, hi], or a violation string.
 
-    direction is +1/-1/0; y_lo <= y_hi are the endpoints of the image.
-    The cell must be continuous and strictly monotone or constant.
+    y0 = f(lo+) and y1 = f(hi-) are the one-sided end values.  direction
+    is +1/-1/0; y_lo <= y_hi are the endpoints of the image.  The cell
+    must be continuous and strictly monotone or constant.
     """
     i0 = f.segment_index(lo, RIGHT)
     i1 = f.segment_index(hi, LEFT)
@@ -55,8 +57,6 @@ def _analyze_cell(f: PwaMap, lo: Fraction, hi: Fraction):
             node = f.nodes[i]
             if node.y_left != node.y_right:
                 return f"discontinuity at {node.x} inside [{lo}, {hi}]"
-    y0 = f.eval(lo, RIGHT)
-    y1 = f.eval(hi, LEFT)
     if sign == 0 and y0 != y1:
         return f"inconsistent plateau on [{lo}, {hi}]"
     if sign != 0 and y0 == y1:
@@ -74,6 +74,45 @@ class MarkovCheck:
         return self.ok
 
 
+def _check_points(f: PwaMap, points: Sequence[Fraction]):
+    """(MarkovCheck, cells) of is_markov's checks, made in one pass.
+
+    Each one-sided image of a P point is evaluated once and looked up in
+    an index of P; the same lookup gives each cell's cover range, and
+    each cell is analysed once.  cells is (P, directions, covers) when
+    the check passes, else None.
+    """
+    a, b = f.domain
+    pts = [Fraction(p) for p in points]
+    if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
+        return MarkovCheck(False, "points not sorted/distinct", tuple(pts)), None
+    if not pts or pts[0] != a or pts[-1] != b:
+        return MarkovCheck(False, "endpoints missing from P", (a, b)), None
+    index = {p: i for i, p in enumerate(pts)}
+    last = len(pts) - 1
+    left = [None] * len(pts)     # f(p-)
+    right = [None] * len(pts)    # f(p+)
+    for i, p in enumerate(pts):
+        for side, out in ((LEFT, left), (RIGHT, right)):
+            if (side == LEFT and i == 0) or (side == RIGHT and i == last):
+                continue
+            y = out[i] = f.eval(p, side)
+            if y not in index:
+                return MarkovCheck(
+                    False, "image of a P point escapes P", (p, y)
+                ), None
+    directions = []
+    covers = []
+    for i in range(last):
+        res = _analyze_cell(f, pts[i], pts[i + 1], right[i], left[i + 1])
+        if isinstance(res, str):
+            return MarkovCheck(False, res, (pts[i], pts[i + 1])), None
+        sign, ylo, yhi = res
+        directions.append(sign)
+        covers.append((i, i) if sign == 0 else (index[ylo], index[yhi]))
+    return MarkovCheck(True), (tuple(pts), tuple(directions), tuple(covers))
+
+
 def is_markov(f: PwaMap, points: Sequence[Fraction]) -> MarkovCheck:
     """Check the Markov conditions for the point set, with a witness.
 
@@ -82,27 +121,7 @@ def is_markov(f: PwaMap, points: Sequence[Fraction]) -> MarkovCheck:
     the map is strictly monotone or constant, and continuous, on every
     cell of the induced partition.
     """
-    a, b = f.domain
-    pts = [Fraction(p) for p in points]
-    if sorted(set(pts)) != pts:
-        return MarkovCheck(False, "points not sorted/distinct", tuple(pts))
-    if not pts or pts[0] != a or pts[-1] != b:
-        return MarkovCheck(False, "endpoints missing from P", (a, b))
-    pset = set(pts)
-    for p in pts:
-        for side in (LEFT, RIGHT):
-            if (side == LEFT and p == a) or (side == RIGHT and p == b):
-                continue
-            y = f.eval(p, side)
-            if y not in pset:
-                return MarkovCheck(
-                    False, "image of a P point escapes P", (p, y)
-                )
-    for i in range(len(pts) - 1):
-        res = _analyze_cell(f, pts[i], pts[i + 1])
-        if isinstance(res, str):
-            return MarkovCheck(False, res, (pts[i], pts[i + 1]))
-    return MarkovCheck(True)
+    return _check_points(f, points)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +468,8 @@ def transition_matrix(f: PwaMap, cells: Sequence[Tuple[Fraction, Fraction]]):
         )
     infos = []
     for lo, hi in cells:
-        res = _analyze_cell(f, Fraction(lo), Fraction(hi))
+        lo, hi = Fraction(lo), Fraction(hi)
+        res = _analyze_cell(f, lo, hi, f.eval(lo, RIGHT), f.eval(hi, LEFT))
         if isinstance(res, str):
             raise PreconditionError(res)
         infos.append(res)
@@ -533,31 +553,15 @@ class MarkovStructure:
 def structure_from_points(f: PwaMap, points: Sequence[Fraction],
                           numeric: str = "auto") -> MarkovStructure:
     """Validate P and assemble the full structure (matrix + Perron pair)."""
-    check = is_markov(f, points)
+    check, cells = _check_points(f, points)
     if not check:
         raise PreconditionError(
             f"not Markov for the given points: {check.reason} at {check.witness}"
         )
-    pts = [Fraction(p) for p in points]
-    directions = []
-    covers = []
-    for i in range(len(pts) - 1):
-        sign, ylo, yhi = _analyze_cell(f, pts[i], pts[i + 1])
-        directions.append(sign)
-        if sign == 0:
-            covers.append((i, i))
-            continue
-        lo = bisect.bisect_left(pts, ylo)
-        hi = bisect.bisect_left(pts, yhi)
-        if pts[lo] != ylo or pts[hi] != yhi:
-            raise PreconditionError(
-                f"cell image endpoint not in P: [{ylo}, {yhi}]"
-            )
-        covers.append((lo, hi))
+    pts, directions, covers = cells
     pr = perron(covers, numeric=numeric)
     mode = "float" if isinstance(pr.beta, float) else "mp"  # perron's choice
-    return MarkovStructure(f, tuple(pts), tuple(directions), tuple(covers),
-                           pr, mode)
+    return MarkovStructure(f, pts, directions, covers, pr, mode)
 
 
 def markov_closure(f: PwaMap, max_points: int = 4096,

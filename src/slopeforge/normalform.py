@@ -12,18 +12,17 @@ heuristic otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .approximation import (
-    ENTROPY_NODE_BUDGET,
     PipelineTrace,
     ResidualReport,
     verify_semiconjugacy,
     normalize,
 )
-from .entropy import entropy_lapcount
 from .errors import BudgetExceeded, NonConvergence, PreconditionError
 from .markov import MarkovStructure, is_mixing_matrix, markov_closure
 from .pwmap import RIGHT, PwaMap, modality, sup_dist
@@ -113,8 +112,9 @@ def normal_form(f: PwaMap, target: float = 1e-6,
     constant cells, so psi collapses them and their preimages, and the
     result is then only a semiconjugacy.  A non-Markov map with a
     plateau is rejected by the approximation step.  Positivity of the
-    entropy is checked once per run: here on the constant-slope fast
-    path, inside normalize otherwise.
+    entropy is decided once per run: here by slope > 1 on the
+    constant-slope fast path (the entropy of a continuous map of
+    constant slope s is log s), inside normalize otherwise.
     """
     if not f.is_continuous:
         raise PreconditionError(
@@ -122,8 +122,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
         )
     slope = None if force_pipeline else _uniform_slope(f)
     if slope is not None:
-        ent = entropy_lapcount(f, depth=10, max_nodes=ENTROPY_NODE_BUDGET)
-        if not ent.positive:
+        if slope <= 1:
             raise PreconditionError("entropy estimate not positive")
         psi = _identity_psi(f)
         g = ConstantSlopeMap(f, float(slope))
@@ -133,7 +132,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
         except (BudgetExceeded, NonConvergence):
             s = None
         evidence = _transitivity_evidence(f, s)
-        trace = _trivial_trace(psi, g, residual, ent)
+        trace = _trivial_trace(psi, g, residual)
         return NormalForm(
             psi=psi,
             g=g,
@@ -163,7 +162,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
     )
 
 
-def _trivial_trace(psi, g, residual, ent) -> PipelineTrace:
+def _trivial_trace(psi, g, residual) -> PipelineTrace:
     gamma = g.slope
     return PipelineTrace(
         indices=(0,),
@@ -175,7 +174,7 @@ def _trivial_trace(psi, g, residual, ent) -> PipelineTrace:
         final_structure=None,
         gamma=gamma,
         residual=residual,
-        entropy_trend=ent.trend,
+        entropy_trend=math.log(gamma),
         converged=True,
         markov_exact=False,
         conjugacy=True,

@@ -22,6 +22,11 @@ DEFAULT_PRECISION_BITS = 128
 # significant digits of every decimal the package writes; fixing them is
 # what makes identical inputs give byte-identical artifacts
 SIG_DIGITS = 15
+# largest decimal exponent a literal may carry.  10**e is built exactly,
+# so an unbounded e costs time and memory that grow faster than linearly;
+# 10**4299 has 4300 digits, the cap int() puts on each part of a p/q
+# literal (and on writing an integer back out).
+MAX_DECIMAL_EXPONENT = 4299
 
 
 def precision_bits() -> int:
@@ -117,14 +122,22 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse `p/q` or an integer or decimal literal into a Fraction."""
+    """Parse `p/q` or an integer or decimal literal into a Fraction.
+
+    A decimal exponent above MAX_DECIMAL_EXPONENT in magnitude is a
+    ValueError.
+    """
     token = token.strip()
     try:
         if "/" in token:
             num, den = token.split("/")
             return Fraction(int(num), int(den))
         if "." in token or "e" in token or "E" in token:
+            exponent = token.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"exponent above {MAX_DECIMAL_EXPONENT} in magnitude")
             return Fraction(token)
         return Fraction(int(token))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {token!r}") from exc
+        raise ValueError(f"not a rational literal: {token!r}: {exc}") from exc

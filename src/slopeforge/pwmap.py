@@ -588,13 +588,19 @@ def parse_pwa(text: str) -> PwaMap:
     return PwaMap(nodes)
 
 
-def serialize_pwa(f: PwaMap) -> str:
-    """Emit the PWA v1 text format (lowest-terms rationals, bit-exact)."""
+def serialize_pwa(f: PwaMap, number=format_rational) -> str:
+    """Emit the PWA v1 text format.
+
+    number renders node coordinates and values: lowest-terms rationals
+    by default (bit-exact); numeric.format_decimal writes the decimal
+    literals of a constant-slope output.  The domain line is always
+    exact.
+    """
     a, b = f.domain
     out = ["pwa 1", f"domain {format_rational(a)} {format_rational(b)}",
            f"nodes {len(f.nodes)}"]
     for n in f.nodes:
-        yl = "-" if n.y_left is None else format_rational(n.y_left)
-        yr = "-" if n.y_right is None else format_rational(n.y_right)
-        out.append(f"{format_rational(n.x)} {yl} {yr}")
+        yl = "-" if n.y_left is None else number(n.y_left)
+        yr = "-" if n.y_right is None else number(n.y_right)
+        out.append(f"{number(n.x)} {yl} {yr}")
     return "\n".join(out) + "\n"

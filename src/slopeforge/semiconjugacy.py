@@ -38,6 +38,9 @@ from .numeric import format_decimal, format_rational, parse_rational, rationaliz
 from .pwmap import LEFT, RIGHT, PwaMap, laps, locate_leq
 
 COLLAPSE_TOL = 1e-12
+# accepted relative deviation of g's piece slopes from beta, by the
+# precision of the structure's Perron data
+SLOPE_REL_TOL = {"float": 1e-6, "mp": 1e-9}
 DEFAULT_TABLE_POINTS = 16385
 MAX_CERT_DEPTH = 4096
 NODE_DIGITS = 40
@@ -398,13 +401,13 @@ class ConstantSlopeMap:
         return dev
 
 
-def build_constant_slope(s: MarkovStructure, psi: PsiTable,
-                         slope_rel_tol: float = 1e-9) -> ConstantSlopeMap:
+def build_constant_slope(s: MarkovStructure, psi: PsiTable) -> ConstantSlopeMap:
     """Image map g on [0,1]: nodes at psi(P) valued psi(f(P +-)).
 
     Collapsed cells contribute no nodes (consecutive P points with equal
     psi merge into one node, taking the left limit from the leftmost and
-    the right limit from the rightmost point of the group).
+    the right limit from the rightmost point of the group).  Every piece
+    slope must be within SLOPE_REL_TOL[s.numeric] of beta.
     """
     beta = s.beta
     if float(beta) <= 1:
@@ -447,7 +450,7 @@ def build_constant_slope(s: MarkovStructure, psi: PsiTable,
         )
     g = PwaMap.from_triples(nodes)
     cs = ConstantSlopeMap(g, float(beta))
-    if cs.max_slope_deviation > slope_rel_tol:
+    if cs.max_slope_deviation > SLOPE_REL_TOL[s.numeric]:
         raise VerificationError(
             f"piece slopes deviate from beta by {cs.max_slope_deviation:.3e}; "
             "the psi table depth is insufficient"
@@ -514,14 +517,13 @@ def check_compatibility(f: PwaMap, psi: PsiTable,
     res = max(tol, 2 * psi.error_bound)
     bad = []
     bf = 1.0 if psi.beta is None else float(psi.beta)
-    fast = psi.structure is not None
     for lap in laps(f):
-        span = float(psi.eval(lap.hi, fast=fast) - psi.eval(lap.lo, fast=fast))
+        span = float(psi.eval(lap.hi, fast=True) - psi.eval(lap.lo, fast=True))
         if span > res:
             continue
         u = f.eval(lap.lo, RIGHT)
         w = f.eval(lap.hi, LEFT)
-        img_span = abs(float(psi.eval(w, fast=fast) - psi.eval(u, fast=fast)))
+        img_span = abs(float(psi.eval(w, fast=True) - psi.eval(u, fast=True)))
         if img_span > max(bf * res, 4 * psi.error_bound):
             bad.append((lap.lo, lap.hi))
     return CompatibilityReport(not bad, tuple(bad))

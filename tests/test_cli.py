@@ -6,7 +6,7 @@ import pytest
 
 from slopeforge import fixtures
 from slopeforge.cli import main
-from slopeforge.pwmap import parse_pwa, serialize_pwa, sup_dist
+from slopeforge.pwmap import PwaMap, parse_pwa, serialize_pwa, sup_dist
 
 
 @pytest.fixture
@@ -56,11 +56,45 @@ def test_entropy_not_positive(capsys, tmp_path):
     assert "no positive entropy" in summary["note"][0]
 
 
+ZERO_ENTROPY = {
+    "flat_trapezoid": fixtures.flat_trapezoid(),
+    "low_trapezoid": fixtures.low_trapezoid(),
+    "tent_slope_1": PwaMap.from_pairs([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ENTROPY))
+def test_zero_entropy_is_not_normalized(capsys, tmp_path, name):
+    # each map is Markov with beta = 1, whatever its lap counts do
+    p = tmp_path / f"{name}.pwa"
+    p.write_text(serialize_pwa(ZERO_ENTROPY[name]))
+    for argv in (["normalize", str(p)],
+                 ["phi", str(p), "--out-dir", str(tmp_path / "bundle")]):
+        code, summary, out = run(capsys, argv)
+        assert code == 3, out
+        assert out == ("error=precondition "
+                       "message='entropy estimate not positive'\n")
+    code, summary, _ = run(capsys, ["entropy", str(p)])
+    assert code == 0
+    assert summary["h_spectral"] == ["0"]
+    assert summary["positive"] == ["false"]
+    assert "no positive entropy" in summary["note"][0]
+
+
 def test_entropy_parse_error(capsys, tmp_path):
     p = tmp_path / "bad.pwa"
     p.write_text("pwa 2\n")
     code, summary, _ = run(capsys, ["entropy", str(p)])
     assert code == 2
+    assert summary["error"][0].startswith("parse")
+
+
+def test_normalize_huge_exponent_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "huge.pwa"
+    p.write_text("pwa 1\ndomain 0 1\nnodes 2\n0 - 1e-4000000\n1 0 -\n")
+    code, summary, out = run(capsys, ["normalize", str(p)])
+    assert code == 2
+    assert len(out.splitlines()) == 1
     assert summary["error"][0].startswith("parse")
 
 

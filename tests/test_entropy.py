@@ -90,7 +90,16 @@ def test_positive_entropy_helper():
     assert is_entropy_positive(fixtures.tent())
     assert not is_entropy_positive(fixtures.identity_map())
     assert is_entropy_positive(fixtures.trapezoid())
-    assert is_entropy_positive(fixtures.low_trapezoid())  # finite-depth estimate
+    # zero entropy: the lap counts grow linearly (4n - 1) and beta = 1
+    assert not is_entropy_positive(fixtures.low_trapezoid())
+
+
+def test_lapcount_positivity_is_growth():
+    # flat_trapezoid keeps 3 laps at every depth: more than one lap, no growth
+    rep = entropy_lapcount(fixtures.flat_trapezoid(), depth=8)
+    assert rep.lap_counts == (3,) * 8
+    assert not rep.positive
+    assert entropy_lapcount(fixtures.tent(), depth=1).positive  # c_1 >= 2
 
 
 @pytest.mark.parametrize("name,depth", [("golden", 6), ("doubling", 5),

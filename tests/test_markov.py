@@ -135,6 +135,18 @@ def test_is_markov_needs_endpoints():
     assert not chk and "endpoints" in chk.reason
 
 
+def test_is_markov_checks_every_image_before_any_cell():
+    # the cell [0, 3/4] folds, and the image 1/2 of 3/4 escapes P: the
+    # image fault is reported although its cell comes first
+    chk = is_markov(fixtures.tent(), [0, F(3, 4), 1])
+    assert not chk
+    assert chk.reason == "image of a P point escapes P"
+    assert chk.witness == (F(3, 4), F(1, 2))
+    chk = is_markov(fixtures.tent(), [0, 1])
+    assert chk.reason.startswith("not strictly-monotone-or-constant")
+    assert chk.witness == (0, 1)
+
+
 # -- closure ------------------------------------------------------------------
 
 def test_closure_tent():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import islice
 
@@ -72,6 +73,19 @@ def test_parse_rejects_value_outside_domain():
 def test_parse_rejects_too_few_nodes():
     with pytest.raises(FormatError):
         parse_pwa("pwa 1\ndomain 0 1\nnodes 1\n0 - 0\n")
+
+
+HUGE_EXPONENT_TEXT = "pwa 1\ndomain 0 1\nnodes 2\n0 - 1e-4000000\n1 0 -\n"
+
+
+def test_parse_rejects_huge_decimal_exponent():
+    # 10**4000000 would be built exactly: seconds of work for 30 bytes
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError, match="exponent"):
+        parse_pwa(HUGE_EXPONENT_TEXT)
+    assert time.perf_counter() - t0 < 0.1
+    for ok in ("1e-4299", "5e-1", "0.025E+1"):
+        parse_pwa(HUGE_EXPONENT_TEXT.replace("1e-4000000", ok))
 
 
 def test_serialize_round_trip():
