@@ -42,9 +42,9 @@ _EXPORTS = {
     "normalform": ("GapCheck", "NormalForm", "check_gap_bound",
                    "normal_form", "slope_gap_bound"),
     "pwmap": (
-        "Lap", "Node", "PwaMap", "compose", "iterate", "lap_count",
-        "lap_counts", "laps", "modality", "parse_pwa", "preimage_points",
-        "serialize_pwa", "sup_dist",
+        "Lap", "Node", "PwaMap", "compose", "iterate", "lap_counts", "laps",
+        "modality", "parse_pwa", "preimage_points", "serialize_pwa",
+        "sup_dist",
     ),
     "semiconjugacy": (
         "ConstantSlopeMap", "PsiTable", "build_constant_slope", "build_psi",

@@ -23,7 +23,12 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .markov import MarkovStructure, markov_closure, structure_from_points
+from .markov import (
+    FIRST_CLOSURE_POINTS,
+    MarkovStructure,
+    markov_closure,
+    structure_from_points,
+)
 from .numeric import format_decimal
 from .pwmap import (
     LEFT,
@@ -41,7 +46,7 @@ DEFAULT_SCHEDULE = (2, 4, 8, 16, 32)
 DEFAULT_SHADOW_DEPTH = 8
 DEFAULT_GRID = 4096
 MAX_APPROX_POINTS = 500_000
-ENTROPY_NODE_BUDGET = 4096     # lap counting of the positivity gate stops here
+PIPELINE_TABLE_POINTS = 4097   # table size of every psi the pipeline builds
 
 
 @dataclass(frozen=True)
@@ -330,7 +335,7 @@ def _finish(f: PwaMap, s: MarkovStructure, psi: PsiTable, grid_points: int,
 def normalize(f: PwaMap, target: float = 1e-4,
               schedule: Optional[Sequence[int]] = None,
               grid_points: int = DEFAULT_GRID,
-              markov_budget: int = 512,
+              markov_budget: int = FIRST_CLOSURE_POINTS,
               entropy_depth: int = 14,
               markov_seeds: Sequence[Fraction] = ()) -> PipelineTrace:
     """Semiconjugate f to a constant-slope map.
@@ -352,13 +357,13 @@ def normalize(f: PwaMap, target: float = 1e-4,
     if s is not None:
         if float(s.beta) <= 1:
             raise PreconditionError("entropy estimate not positive")
-        psi = build_psi(s, min(target, 1e-6) / 8, max_table_points=4097)
+        psi = build_psi(s, min(target, 1e-6) / 8,
+                        max_table_points=PIPELINE_TABLE_POINTS)
         return _finish(f, s, psi, grid_points, indices=(0,),
                        betas=(float(s.beta),), gap_rows=(None,), psis=(psi,),
                        entropy_trend=entropy_spectral(s), converged=True,
                        markov_exact=True)
-    ent = entropy_lapcount(f, depth=entropy_depth,
-                           max_nodes=ENTROPY_NODE_BUDGET)
+    ent = entropy_lapcount(f, depth=entropy_depth)
     if not ent.positive:
         raise PreconditionError("entropy estimate not positive")
     if schedule is None:
@@ -379,7 +384,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
             gap_rows.append(None)
             continue
         psi_n = build_psi(s_n, min(target, 1e-4) / 8,
-                          max_table_points=4097)
+                          max_table_points=PIPELINE_TABLE_POINTS)
         vals = [float(psi_n.eval(x, fast=True)) for x in grid]
         psis.append(psi_n)
         last = (s_n, psi_n)

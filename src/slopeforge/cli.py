@@ -12,12 +12,14 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import approximation, coding, graphmap, normalform
+from .entropy import DEFAULT_DEPTH
 from .entropy import entropy as compute_entropy
 from .errors import (
     BudgetExceeded,
@@ -27,7 +29,12 @@ from .errors import (
     SlopeforgeError,
     VerificationError,
 )
-from .markov import is_markov, markov_closure
+from .markov import (
+    FIRST_CLOSURE_POINTS,
+    MAX_CLOSURE_POINTS,
+    is_markov,
+    markov_closure,
+)
 from .numeric import format_decimal, format_rational, parse_rational
 from .pwmap import PwaMap, laps, parse_pwa, serialize_pwa
 from .semiconjugacy import psi_from_tsv, psi_to_tsv
@@ -258,8 +265,24 @@ def cmd_plot(args) -> CommandResult:
 
 # -- driver --------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a FormatError, so main reports it like any
+    other parse error; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
+def tolerance(text: str) -> float:
+    """A --tol value: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="slopeforge",
         description="Constant-slope normal forms for piecewise monotone "
                     "interval and graph maps",
@@ -268,22 +291,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entropy", help="lap-count and spectral entropy report")
     sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=12)
-    sp.add_argument("--markov-points", type=int, default=512)
+    sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    sp.add_argument("--markov-points", type=int, default=FIRST_CLOSURE_POINTS)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_entropy)
 
     sp = sub.add_parser("markov-check", help="validate or search a Markov point set")
     sp.add_argument("file")
     sp.add_argument("--points", help="comma-separated rationals")
-    sp.add_argument("--budget", type=int, default=4096)
+    sp.add_argument("--budget", type=int, default=MAX_CLOSURE_POINTS)
     sp.set_defaults(func=cmd_markov_check)
 
     sp = sub.add_parser("normalize", help="semiconjugate to constant slope")
     sp.add_argument("file")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=tolerance, default=1e-6)
     sp.add_argument("--schedule", help="comma-separated approximation indices")
-    sp.add_argument("--grid", type=int, default=4096)
+    sp.add_argument("--grid", type=int, default=approximation.DEFAULT_GRID)
     sp.add_argument("--out")
     sp.add_argument("--psi")
     sp.add_argument("--trace")
@@ -300,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("f")
     sp.add_argument("g")
     sp.add_argument("psi")
-    sp.add_argument("--grid", type=int, default=4096)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--grid", type=int, default=approximation.DEFAULT_GRID)
+    sp.add_argument("--tol", type=tolerance, default=1e-6)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("reduce", help="collapse equal-code intervals (PM to PSM)")
@@ -314,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phi", help="constant-slope normal form bundle")
     sp.add_argument("file")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=tolerance, default=1e-6)
     sp.add_argument("--out-dir", default=".")
     sp.set_defaults(func=cmd_phi)
 
@@ -340,9 +363,8 @@ def _report(exc: SlopeforgeError) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.func(args)
     except SlopeforgeError as exc:
         return _report(exc)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Optional
 
 from .errors import BudgetExceeded, PreconditionError
-from .markov import MarkovStructure, markov_closure
+from .markov import FIRST_CLOSURE_POINTS, MarkovStructure, markov_closure
 from .numeric import format_decimal, generic_log
-from .pwmap import DEFAULT_NODE_BUDGET, PwaMap, iterates, laps
+from .pwmap import PwaMap, lap_counts
 
 DEFAULT_DEPTH = 12
 AGREEMENT_GAP = 0.02
@@ -34,7 +33,6 @@ class EntropyReport:
     agreed: Optional[bool] = None
     gap: Optional[float] = None
     positive: bool = False
-    truncated: bool = False
 
     @property
     def h_est(self) -> float:
@@ -58,25 +56,21 @@ class EntropyReport:
         return "\n".join(lines) + "\n"
 
 
-def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH,
-                     max_nodes: int = DEFAULT_NODE_BUDGET) -> EntropyReport:
+def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH) -> EntropyReport:
     """Exact c_1..c_depth and the derived estimates.
 
-    On node-budget exhaustion the report is truncated and flagged
-    rather than failing; c_1 needs no composition, so it is always there.
+    The counts come from pwmap.lap_counts; a depth whose recursion
+    needs more than pwmap.MAX_LAP_PIECES pieces, or a count of more than
+    pwmap.MAX_LAP_BITS bits, raises BudgetExceeded.
+
     positive means the lap counts still grow, c_N > c_(N-1) (c_1 >= 2
-    for a single count).  That cannot tell linear growth from slow
-    exponential growth; entropy() decides from beta when it can.
+    for a single count).  Linear and slow exponential growth both pass
+    that test; at large N the margin between them shows in the trend,
+    and entropy() decides from beta when it can.
     """
     if depth < 1:
         raise PreconditionError("lap-count depth must be >= 1")
-    counts = []
-    truncated = False
-    try:
-        for g in islice(iterates(f, max_nodes), depth):
-            counts.append(len(laps(g)))
-    except BudgetExceeded:
-        truncated = True
+    counts = lap_counts(f, depth)
     estimates = tuple(math.log(c) / (i + 1) for i, c in enumerate(counts))
     if len(counts) >= 2:
         trend = math.log(counts[-1] / counts[-2])
@@ -90,7 +84,6 @@ def entropy_lapcount(f: PwaMap, depth: int = DEFAULT_DEPTH,
         fekete=min(estimates),
         trend=trend,
         positive=positive,
-        truncated=truncated,
     )
 
 
@@ -100,7 +93,7 @@ def entropy_spectral(s: MarkovStructure) -> float:
 
 
 def entropy(f: PwaMap, depth: int = DEFAULT_DEPTH,
-            markov_points: int = 512) -> EntropyReport:
+            markov_points: int = FIRST_CLOSURE_POINTS) -> EntropyReport:
     """Lap-count report, with the spectral value when a Markov set closes.
 
     A closed Markov set decides positivity by beta > 1; otherwise the

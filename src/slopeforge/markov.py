@@ -29,6 +29,8 @@ MP_MATRIX_CAP = 600          # above this the Perron solver switches to float64
 DENSE_MATRIX_CAP = 4096      # guard for materializing list-of-lists matrices
 PERRON_TOL = 1e-12           # accepted residual |Mv - beta v| per unit of beta
 MAX_POWER_STEPS = 50000      # steps of one component solve before giving up
+MAX_CLOSURE_POINTS = 4096    # points of a Markov closure before giving up
+FIRST_CLOSURE_POINTS = 512   # the smaller budget of a first, cheap closure try
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +566,7 @@ def structure_from_points(f: PwaMap, points: Sequence[Fraction],
     return MarkovStructure(f, pts, directions, covers, pr, mode)
 
 
-def markov_closure(f: PwaMap, max_points: int = 4096,
+def markov_closure(f: PwaMap, max_points: int = MAX_CLOSURE_POINTS,
                    extra_seeds: Sequence[Fraction] = ()) -> MarkovStructure:
     """Close the lap-endpoint set under exact one-sided images.
 

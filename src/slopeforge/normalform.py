@@ -24,7 +24,12 @@ from .approximation import (
     normalize,
 )
 from .errors import BudgetExceeded, NonConvergence, PreconditionError
-from .markov import MarkovStructure, is_mixing_matrix, markov_closure
+from .markov import (
+    FIRST_CLOSURE_POINTS,
+    MarkovStructure,
+    is_mixing_matrix,
+    markov_closure,
+)
 from .pwmap import RIGHT, PwaMap, modality, sup_dist
 from .semiconjugacy import ConstantSlopeMap, PsiTable
 
@@ -128,7 +133,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
         g = ConstantSlopeMap(f, float(slope))
         residual = verify_semiconjugacy(f, f, psi)
         try:
-            s = markov_closure(f, max_points=512)
+            s = markov_closure(f, max_points=FIRST_CLOSURE_POINTS)
         except (BudgetExceeded, NonConvergence):
             s = None
         evidence = _transitivity_evidence(f, s)

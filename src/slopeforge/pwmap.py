@@ -16,8 +16,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, FormatError, PreconditionError
 from .numeric import format_rational, parse_rational
@@ -29,7 +28,9 @@ CONSTANT = "constant"
 LEFT = "left"
 RIGHT = "right"
 
-DEFAULT_NODE_BUDGET = 10**7
+MAX_COMPOSE_NODES = 10**7     # nodes of one composite
+MAX_LAP_PIECES = 500_000      # (level, piece) states of one lap_counts call
+MAX_LAP_BITS = 10_000         # bits of one lap count, about 3,000 digits
 
 
 def locate_leq(pts, pts_float, x: Fraction) -> int:
@@ -324,6 +325,20 @@ def modality(f: PwaMap) -> int:
 # -- composition and iteration -------------------------------------------
 
 
+def _flip(side: str) -> str:
+    return LEFT if side == RIGHT else RIGHT
+
+
+def _inward(f: PwaMap, y: Fraction, side: str) -> str:
+    """side, except at an end of f's domain, which has only its inner side."""
+    a, b = f.domain
+    if y == a:
+        return RIGHT
+    if y == b:
+        return LEFT
+    return side
+
+
 def _outer_limit(outer: PwaMap, y: Fraction, approach_slope: Fraction, side: str) -> Fraction:
     """Limit of outer(inner(t)) as t tends to x from `side`.
 
@@ -334,19 +349,11 @@ def _outer_limit(outer: PwaMap, y: Fraction, approach_slope: Fraction, side: str
     """
     if approach_slope == 0:
         return outer.value_at(y)
-    if side == RIGHT:
-        toward = RIGHT if approach_slope > 0 else LEFT
-    else:
-        toward = LEFT if approach_slope > 0 else RIGHT
-    a, b = outer.domain
-    if y == a and toward == LEFT:
-        toward = RIGHT
-    if y == b and toward == RIGHT:
-        toward = LEFT
-    return outer.eval(y, toward)
+    toward = side if approach_slope > 0 else _flip(side)
+    return outer.eval(y, _inward(outer, y, toward))
 
 
-def compose(outer: PwaMap, inner: PwaMap, max_nodes: int = DEFAULT_NODE_BUDGET) -> PwaMap:
+def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
     """Exact composition outer(inner(x)) as a PwaMap.
 
     The nodes of the composite are the nodes of inner plus, inside each
@@ -355,7 +362,8 @@ def compose(outer: PwaMap, inner: PwaMap, max_nodes: int = DEFAULT_NODE_BUDGET) 
     segments emits them in increasing order: such an interior preimage
     is a continuity point of inner, so its one-sided values are the
     outer node's (swapped on decreasing segments); only the inner nodes
-    need the one-sided limits of _outer_limit.
+    need the one-sided limits of _outer_limit.  A composite of more than
+    MAX_COMPOSE_NODES nodes raises BudgetExceeded.
     """
     if outer.domain != inner.domain:
         raise PreconditionError("composition requires a common domain")
@@ -375,10 +383,9 @@ def compose(outer: PwaMap, inner: PwaMap, max_nodes: int = DEFAULT_NODE_BUDGET) 
         i1 = bisect.bisect_left(outer_xs, hi)
         spans.append((i0, i1))
         total += i1 - i0
-    if monotone and total > max_nodes:
+    if monotone and total > MAX_COMPOSE_NODES:
         raise BudgetExceeded(
-            f"composition exceeds the node budget ({max_nodes}); "
-            "raise the limit or lower the depth"
+            f"composition exceeds {MAX_COMPOSE_NODES} nodes; lower the depth"
         )
     inner_nodes = inner.nodes
     outer_nodes = outer.nodes
@@ -408,33 +415,136 @@ def compose(outer: PwaMap, inner: PwaMap, max_nodes: int = DEFAULT_NODE_BUDGET) 
     return PwaMap(nodes)
 
 
-def iterates(f: PwaMap, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[PwaMap]:
-    """Yield f, f^2, f^3, ... by incremental composition f^(n+1) = f o f^n.
-
-    An iterate is composed only when it is asked for, so taking n items
-    costs n - 1 compositions; BudgetExceeded surfaces at that request.
-    """
-    g = f
-    while True:
-        yield g
-        g = compose(f, g, max_nodes=max_nodes)
-
-
-def iterate(f: PwaMap, k: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> PwaMap:
-    """The k-th iterate of f as an exact PwaMap (k >= 1)."""
+def iterate(f: PwaMap, k: int) -> PwaMap:
+    """The k-th iterate of f as an exact PwaMap (k >= 1), by k - 1
+    compositions f^(j+1) = f o f^j."""
     if k < 1:
         raise PreconditionError("iterate needs k >= 1")
-    return next(islice(iterates(f, max_nodes), k - 1, None))
+    g = f
+    for _ in range(k - 1):
+        g = compose(f, g)
+    return g
 
 
-def lap_count(f: PwaMap, n: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
-    """Number of laps of the n-th iterate."""
-    return len(laps(iterate(f, n, max_nodes=max_nodes)))
+# -- lap counts -------------------------------------------------------------
 
 
-def lap_counts(f: PwaMap, upto: int, max_nodes: int = DEFAULT_NODE_BUDGET) -> list:
-    """[c_1, ..., c_upto] computed with incremental composition."""
-    return [len(laps(g)) for g in islice(iterates(f, max_nodes), max(upto, 0))]
+def _germ_step(f: PwaMap, y: Fraction, side: Optional[str]) -> tuple:
+    """Image of a germ under f, by the rules of _outer_limit.
+
+    A germ (y, side) stands for the values of f^k near a point on one
+    side, which tend to y from `side`; side None means they equal y
+    exactly, as after a plateau, and every later step takes value_at.
+    """
+    if side is None:
+        return f.value_at(y), None
+    side = _inward(f, y, side)
+    slope = f.slope_side(y, side)
+    y = f.eval(y, side)
+    if slope == 0:
+        return y, None
+    return y, side if slope > 0 else _flip(side)
+
+
+def lap_counts(f: PwaMap, upto: int) -> list:
+    """[c_1, ..., c_upto], c_k the number of laps of f^k, without
+    composing any iterate.
+
+    Let l_k[p, q] be the laps of f^k on [p, q], with the directions of
+    its first and last lap.  Cut [p, q] at the lap ends of f: a
+    monotone piece contributes l_(k-1) of its image (reversed on a
+    decreasing piece), a flat piece one constant lap.  At an interior
+    lap end c where the two adjacent directions agree and f^k is
+    continuous, two laps merge into one, as laps() merges them; f^k is
+    continuous at c when the two germs of c, walked k steps by
+    _germ_step, meet.
+
+    The states are collected top-down from [a, b] at level upto: an
+    interval first reached after d image steps is a state at every
+    level 1..upto-d, so each interval is cut once.  Valuing a state
+    costs one step per piece, so the pieces of all states are counted
+    against MAX_LAP_PIECES before any germ is walked; then the levels
+    are valued bottom-up, and a count of more than MAX_LAP_BITS bits
+    stops the call (c_k bounds every count at level k).
+    """
+    if upto < 1:
+        return []
+    a, b = f.domain
+    f_laps = laps(f)
+    ends = [lap.lo for lap in f_laps[1:]]   # interior lap ends of f
+    signs = [1 if lap.direction == INCREASING
+             else -1 if lap.direction == DECREASING else 0 for lap in f_laps]
+    # breadth-first over intervals: an interval's id is its index in
+    # `intervals`, so ids are ordered by `distance`, the image steps from [a, b]
+    ids = {(a, b): 0}
+    intervals = [(a, b)]
+    distance = [0]
+    pieces = []       # per id: (first lap index, [(child id, sign)]), sign 0 if flat
+    work = 0
+    for i, (p, q) in enumerate(intervals):
+        lo = bisect.bisect_right(ends, p)
+        hi = bisect.bisect_left(ends, q)
+        work += (upto - distance[i]) * (hi - lo + 1)
+        if work > MAX_LAP_PIECES:
+            raise BudgetExceeded(
+                f"lap counting to depth {upto} needs more than "
+                f"{MAX_LAP_PIECES} pieces; lower the depth"
+            )
+        cuts = [p] + ends[lo:hi] + [q]
+        register = distance[i] + 1 < upto   # level 1 values no children
+        row = []
+        for j in range(len(cuts) - 1):
+            sign = signs[lo + j]
+            if sign == 0:
+                row.append((-1, 0))
+                continue
+            ya = f.eval(cuts[j], RIGHT)
+            yb = f.eval(cuts[j + 1], LEFT)
+            image = (ya, yb) if sign > 0 else (yb, ya)
+            child = ids.get(image, -1)
+            if child < 0 and register:
+                child = ids[image] = len(intervals)
+                intervals.append(image)
+                distance.append(distance[i] + 1)
+            row.append((child, sign))
+        pieces.append((lo, row))
+    germs = [((c, LEFT), (c, RIGHT)) for c in ends]   # walked one step per level
+    counts = []
+    count = first = last = None
+    for k in range(1, upto + 1):
+        germs = [(_germ_step(f, *left), _germ_step(f, *right)) for left, right in germs]
+        merges = [left[0] == right[0] for left, right in germs]
+        m = bisect.bisect_right(distance, upto - k)   # the states at level k
+        new_count, new_first, new_last = [0] * m, [0] * m, [0] * m
+        for i in range(m):
+            lo, row = pieces[i]
+            total = 0
+            prev = None
+            for j, (child, sign) in enumerate(row):
+                if sign == 0:
+                    n, s, t = 1, 0, 0
+                elif k == 1:
+                    n, s, t = 1, sign, sign
+                elif sign > 0:
+                    n, s, t = count[child], first[child], last[child]
+                else:
+                    n, s, t = count[child], -last[child], -first[child]
+                if j == 0:
+                    new_first[i] = s
+                elif prev == s and merges[lo + j - 1]:
+                    total -= 1
+                total += n
+                prev = t
+            new_count[i] = total
+            new_last[i] = prev
+        count, first, last = new_count, new_first, new_last
+        counts.append(count[0])
+        if count[0].bit_length() > MAX_LAP_BITS:
+            raise BudgetExceeded(
+                f"lap counting to depth {upto} passes {MAX_LAP_BITS}-bit "
+                f"counts at level {k}; lower the depth"
+            )
+    return counts
 
 
 # -- metric ---------------------------------------------------------------
@@ -517,7 +627,7 @@ def orbit_one_sided(f: PwaMap, x: Fraction, side: str, k: int) -> list:
         if slope > 0:
             ns = s
         elif slope < 0:
-            ns = LEFT if s == RIGHT else RIGHT
+            ns = _flip(s)
         else:
             ns = RIGHT
         if y == a:

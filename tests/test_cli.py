@@ -337,12 +337,23 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["verify", "{f}", "{f}", "{psi}", "--grid", "0"], 3, "precondition"),
     (["entropy", "{f}", "--depth", "0"], 3, "precondition"),
     (["reduce", "{f}", "--depth", "0"], 3, "precondition"),
+    (["entropy", "{f}", "--depth", "1000000"], 4, "non-convergence"),
+    (["entropy", "{f}", "--depth", "20000", "--out", "{out}"], 4, "non-convergence"),
+    (["verify", "{f}", "{f}", "{psi}", "--tol", "nan"], 2, "parse"),
+    (["normalize", "{f}", "--tol", "nan"], 2, "parse"),
+    (["phi", "{f}", "--tol", "inf"], 2, "parse"),
+    (["entropy", "{f}", "--depth", "x"], 2, "parse"),
+    (["entropy"], 2, "parse"),
+    (["no-such-command", "{f}"], 2, "parse"),
 ], ids=["schedule", "points", "normalize_grid", "verify_grid",
-        "entropy_depth", "reduce_depth"])
+        "entropy_depth", "reduce_depth", "entropy_depth_budget",
+        "entropy_count_bits", "verify_tol_nan",
+        "normalize_tol_nan", "phi_tol_inf", "entropy_depth_type",
+        "missing_positional", "unknown_command"])
 def test_bad_argument_exit_codes(capsys, skew_file, tmp_path, argv, code, kind):
     psi = tmp_path / "psi.tsv"
     psi.write_text("x\tpsi\tx_exact\n0\t0\t0\n1\t1\t1\n")
-    argv = [a.format(f=skew_file, psi=psi) for a in argv]
+    argv = [a.format(f=skew_file, psi=psi, out=tmp_path / "e.tsv") for a in argv]
     got, summary, out = run(capsys, argv)
     assert got == code
     assert len(out.splitlines()) == 1

@@ -9,13 +9,14 @@ from slopeforge.approximation import normalize
 from slopeforge.entropy import entropy_lapcount
 from slopeforge.errors import PreconditionError
 from slopeforge.graphmap import normalize_graph, parse_graph
+from slopeforge.markov import is_mixing_matrix, markov_closure
 from slopeforge.normalform import (
     EVIDENCE_PRIMITIVE,
     check_gap_bound,
     normal_form,
     slope_gap_bound,
 )
-from slopeforge.pwmap import PwaMap, sup_dist
+from slopeforge.pwmap import PwaMap, modality, sup_dist
 
 
 def test_phi_skew_tent():
@@ -125,6 +126,26 @@ def test_check_gap_bound_rejects_equal_slopes():
     right = PwaMap.from_pairs([(0, 1), (F(1, 2), 0), (1, 1)])
     with pytest.raises(PreconditionError):
         check_gap_bound(left, right)
+
+
+@pytest.mark.parametrize("eps", [F(1, 16), F(1, 64)], ids=["2^-4", "2^-6"])
+def test_normal_form_operator_is_not_continuous(eps):
+    # f_eps is within 4 eps of the tent, yet its normal form keeps a
+    # slope near 3 and so stays more than 1/8 away from the tent's own
+    # normal form, the tent itself
+    tent = fixtures.tent()
+    f = PwaMap.from_pairs([(0, 0), (eps, 4 * eps), (2 * eps, 0),
+                           (3 * eps, 6 * eps), (F(1, 2), 1), (1, 0)])
+    assert sup_dist(f, tent) == 4 * eps
+    assert is_mixing_matrix(list(markov_closure(f).covers)).primitive
+    nf = normal_form(f)
+    assert nf.conjugacy
+    g = nf.g.map
+    # the rationalized slopes of g are not exactly equal, so the bound is
+    # taken from the float slope rather than through check_gap_bound
+    bound = slope_gap_bound(nf.g.slope, 2, modality(g))
+    assert bound > F(1, 8)
+    assert sup_dist(g, tent) >= bound
 
 
 def random_constant_slope(rng, m, slope):

@@ -83,6 +83,16 @@ def test_submultiplicativity_random():
                 assert c[m + n] <= c[m] * c[n]
 
 
+def test_lap_counts_match_composition_random():
+    # the interval recursion against laps of the composed iterates, on
+    # maps with jumps and plateaus
+    rng = random.Random(2024)
+    for _ in range(200):
+        f = random_pwa(rng)
+        want = [len(laps(iterate(f, k))) for k in range(1, 7)]
+        assert lap_counts(f, 6) == want, f.nodes
+
+
 def test_refinement_cell_growth_tracks_beta():
     # (1/n) log |A_n| (non-singleton cells) approaches log beta from above
     for make in (fixtures.tent, fixtures.golden,

@@ -1,10 +1,9 @@
 import time
 from fractions import Fraction as F
-from itertools import islice
 
 import pytest
 
-from slopeforge import fixtures
+from slopeforge import fixtures, pwmap
 from slopeforge.errors import BudgetExceeded, FormatError, PreconditionError
 from slopeforge.graphmap import flatten, parse_graph
 from slopeforge.pwmap import (
@@ -16,8 +15,6 @@ from slopeforge.pwmap import (
     PwaMap,
     compose,
     iterate,
-    iterates,
-    lap_count,
     lap_counts,
     laps,
     orbit,
@@ -138,18 +135,12 @@ def test_iterate_identity_of_operation():
     assert iterate(f, 1) is f
 
 
-def test_iterates_yields_iterate():
-    for f in (fixtures.golden(), fixtures.doubling(), fixtures.trapezoid()):
-        assert list(islice(iterates(f), 6)) == [iterate(f, k) for k in range(1, 7)]
-
-
-def test_iterates_composes_on_request():
-    # tent^2 has 5 nodes and tent^3 has 9: taking two iterates under a
-    # budget of 5 must not compose the third
-    got = list(islice(iterates(fixtures.tent(), max_nodes=5), 2))
-    assert [len(g.nodes) for g in got] == [3, 5]
+def test_iterate_respects_compose_node_cap(monkeypatch):
+    # tent^2 has 5 nodes and tent^3 has 9
+    monkeypatch.setattr(pwmap, "MAX_COMPOSE_NODES", 5)
+    assert len(iterate(fixtures.tent(), 2).nodes) == 5
     with pytest.raises(BudgetExceeded):
-        list(islice(iterates(fixtures.tent(), max_nodes=5), 3))
+        iterate(fixtures.tent(), 3)
 
 
 @pytest.mark.parametrize("name", ["doubling", "golden", "trapezoid", "collapsing_circle"])
@@ -180,20 +171,20 @@ def test_iterate_tent_depth2():
 
 
 def test_iterate_golden_depth2_laps():
-    assert lap_count(fixtures.golden(), 2) == 3
+    assert lap_counts(fixtures.golden(), 2)[-1] == 3
 
 
 def test_lap_count_tent_powers_of_two():
-    assert lap_count(fixtures.tent(), 10) == 1024
+    assert lap_counts(fixtures.tent(), 10)[-1] == 1024
 
 
 def test_lap_count_golden_fibonacci():
     assert lap_counts(fixtures.golden(), 4) == [2, 3, 5, 8]
-    assert lap_count(fixtures.golden(), 3) == 5
+    assert lap_counts(fixtures.golden(), 3)[-1] == 5
 
 
 def test_lap_count_single_lap_map():
-    assert lap_count(fixtures.identity_map(), 7) == 1
+    assert lap_counts(fixtures.identity_map(), 7)[-1] == 1
 
 
 def test_iterate_matches_pointwise_composition():
@@ -211,7 +202,7 @@ def test_iterate_doubling_one_sided_exactness():
     # jumps at 1/4, 1/2, 3/4; left limits 1, right limits 0
     assert d2.eval(F(1, 4), "left") == 1
     assert d2.eval(F(1, 4), "right") == 0
-    assert lap_count(fixtures.doubling(), 8) == 256
+    assert lap_counts(fixtures.doubling(), 8)[-1] == 256
 
 
 def test_sup_dist_values():
@@ -281,3 +272,107 @@ def test_submultiplicative_lap_counts():
         for m in range(1, 5):
             for n in range(1, 5):
                 assert c[m + n] <= c[m] * c[n]
+
+
+# -- lap counts by the interval recursion ------------------------------------
+
+BETA_MAP = PwaMap.from_triples([(0, None, 0), (F(2, 3), 1, 0), (1, F(1, 2), None)])
+# one-sided germs through plateaus and jumps: a walk that returned to
+# one-sided steps after a plateau would count [5, 15, 45, 131, 377]
+PLATEAU_JUMPS = PwaMap.from_triples([
+    (0, None, F(1, 4)), (F(1, 8), F(1, 4), F(3, 4)), (F(3, 16), F(3, 4), F(3, 4)),
+    (F(1, 4), F(1, 2), F(1, 2)), (F(3, 8), 0, 0), (F(1, 2), F(9, 10), F(1, 10)),
+    (F(3, 4), F(1, 2), F(1, 2)), (1, 1, None),
+])
+
+
+def _pl_conjugate_tent():
+    """h^-1 o tent o h for the PL homeomorphism h through (1/3, 1/2)."""
+    h = PwaMap.from_pairs([(0, 0), (F(1, 3), F(1, 2)), (1, 1)])
+    h_inv = PwaMap.from_pairs([(0, 0), (F(1, 2), F(1, 3)), (1, 1)])
+    return compose(h_inv, compose(fixtures.tent(), h))
+
+
+RECURSION_MAPS = {
+    "tent": fixtures.tent, "doubling": fixtures.doubling,
+    "golden": fixtures.golden, "skew_tent": fixtures.skew_tent,
+    "tent_slope32": lambda: fixtures.tent_slope(F(3, 2)),
+    "trapezoid": fixtures.trapezoid, "flat_trapezoid": fixtures.flat_trapezoid,
+    "low_trapezoid": fixtures.low_trapezoid, "identity": fixtures.identity_map,
+    "core_tent32": fixtures.core_tent32, "tent75": fixtures.tent75,
+    "bimodal": fixtures.bimodal_nonmarkov,
+    "golden_normal_form": fixtures.golden_normal_form,
+    "beta_map": lambda: BETA_MAP, "pl_conjugate": _pl_conjugate_tent,
+    "plateau_jumps": lambda: PLATEAU_JUMPS,
+    **{name: (lambda doc=doc: flatten(parse_graph(doc))[0])
+       for name, doc in (("circle_doubling", fixtures.CIRCLE_DOUBLING),
+                         ("two_edge_wrap", fixtures.TWO_EDGE_WRAP),
+                         ("collapsing_circle", fixtures.COLLAPSING_CIRCLE),
+                         ("interval_tent", fixtures.INTERVAL_TENT))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_MAPS))
+def test_lap_counts_match_composed_iterates(name):
+    f = RECURSION_MAPS[name]()
+    depth = 8 if name in ("bimodal", "plateau_jumps") else 10
+    want = [len(laps(iterate(f, k))) for k in range(1, depth + 1)]
+    assert lap_counts(f, depth) == want
+
+
+def test_lap_counts_plateau_jump_germs():
+    assert lap_counts(PLATEAU_JUMPS, 5) == [5, 15, 44, 127, 364]
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("name,depth,closed_form", [
+    ("tent", 200, lambda n: 2 ** n),
+    ("doubling", 200, lambda n: 2 ** n),
+    ("golden", 200, lambda n: _fibonacci(n + 2)),
+    ("low_trapezoid", 100, lambda n: 4 * n - 1),
+    ("flat_trapezoid", 100, lambda n: 3),
+])
+def test_lap_counts_closed_forms_at_depth(name, depth, closed_form):
+    f = getattr(fixtures, name)()
+    assert lap_counts(f, depth) == [closed_form(n) for n in range(1, depth + 1)]
+
+
+def test_lap_counts_budget_is_checked_before_any_germ(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a germ was walked")
+
+    monkeypatch.setattr(pwmap, "_germ_step", no_walk)
+    monkeypatch.setattr(pwmap, "MAX_LAP_PIECES", 40)
+    # core_tent32 reaches new intervals at every level, so 20 levels
+    # need more than 40 pieces
+    with pytest.raises(BudgetExceeded):
+        lap_counts(fixtures.core_tent32(), 20)
+    # one interval of two pieces: 21 levels are 42 pieces
+    with pytest.raises(BudgetExceeded):
+        lap_counts(fixtures.tent(), 21)
+
+
+def test_lap_counts_budget_counts_pieces_not_intervals():
+    # 200 laps whose images almost cover [0, 1]: every interval cuts
+    # into about 200 pieces, and each level reaches up to 200 times as
+    # many intervals, so only a budget on pieces stops 14 levels early
+    laps_ = 200
+    f = PwaMap.from_pairs([
+        (F(i, laps_), F(1, 3 + i) if i % 2 == 0 else 1 - F(1, 3 + i))
+        for i in range(laps_ + 1)
+    ])
+    assert len(laps(f)) == laps_
+    start = time.process_time()
+    with pytest.raises(BudgetExceeded, match="pieces"):
+        lap_counts(f, 14)
+    assert time.process_time() - start < 5
+
+
+def test_lap_counts_empty_depth():
+    assert lap_counts(fixtures.tent(), 0) == []
