@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Optional, Sequence, Tuple
 
 from .entropy import entropy_lapcount, entropy_spectral
@@ -25,21 +26,11 @@ from .errors import (
 )
 from .markov import (
     FIRST_CLOSURE_POINTS,
-    MarkovStructure,
     markov_closure,
     structure_from_points,
 )
 from .numeric import format_decimal
-from .pwmap import (
-    LEFT,
-    RIGHT,
-    Node,
-    PwaMap,
-    iterate,
-    laps,
-    orbit_one_sided,
-    sup_dist,
-)
+from .pwmap import LEFT, RIGHT, Node, PwaMap, lap_ends, orbit_one_sided, sup_dist
 from .semiconjugacy import ConstantSlopeMap, PsiTable, build_constant_slope, build_psi
 
 DEFAULT_SCHEDULE = (2, 4, 8, 16, 32)
@@ -60,8 +51,8 @@ def markov_approx(f: PwaMap, n: int,
                   shadow_depth: Optional[int] = None) -> Tuple[PwaMap, ApproxConfig]:
     """Markov map within 1/n of f, affine between the points of P.
 
-    P contains the lap-endpoint orbits of f^k for k up to shadow_depth
-    (so iterate endpoints shadow exactly to that depth) plus a uniform
+    P contains the orbits of the lap ends of f^shadow_depth to that
+    depth (so iterate endpoints shadow exactly to it) plus a uniform
     grid finer than delta = min(1/(2 n L), 1/(4n)), L the top slope.
     Image values snap down to P; at jump points the snap applies to
     each one-sided limit separately.
@@ -84,18 +75,9 @@ def markov_approx(f: PwaMap, n: int,
     )
     pts = {a, b}
     if shadow_depth >= 1:
-        fk = iterate(f, shadow_depth)
-        seeds = {a, b}
-        for lap in laps(fk):
-            seeds.add(lap.lo)
-            seeds.add(lap.hi)
-        for q in seeds:
-            for p, _ in orbit_one_sided(f, q, RIGHT if q < b else LEFT,
-                                        shadow_depth):
-                pts.add(p)
-            for p, _ in orbit_one_sided(f, q, LEFT if q > a else RIGHT,
-                                        shadow_depth):
-                pts.add(p)
+        for _, left, right in lap_ends(f, shadow_depth):
+            pts.update(p for p, _ in left)
+            pts.update(p for p, _ in right)
     width = b - a
     grid_n = 1
     while grid_n * delta <= width:  # power-of-two grid: dyadic-friendly
@@ -162,17 +144,13 @@ def check_monotone_shadowing(f: PwaMap, g: PwaMap, k: int) -> ShadowReport:
     stays monotone and continuous on every visited hull, which makes
     g^k monotone and continuous on each lap of f^k.
     """
-    a, b = f.domain
-    fk = iterate(f, k)
-    for lap in laps(fk):
-        lo_orbit = orbit_one_sided(f, lap.lo, RIGHT if lap.lo < b else LEFT, k)
-        hi_orbit = orbit_one_sided(f, lap.hi, LEFT if lap.hi > a else RIGHT, k)
-        g_lo = orbit_one_sided(g, lap.lo, RIGHT if lap.lo < b else LEFT, k)
-        g_hi = orbit_one_sided(g, lap.hi, LEFT if lap.hi > a else RIGHT, k)
+    for (lo, _, lo_orbit), (hi, hi_orbit, _) in pairwise(lap_ends(f, k)):
+        g_lo = orbit_one_sided(g, lo, RIGHT, k)
+        g_hi = orbit_one_sided(g, hi, LEFT, k)
         if [p for p, _ in lo_orbit] != [p for p, _ in g_lo]:
-            return ShadowReport(False, k, ("orbit mismatch", lap.lo))
+            return ShadowReport(False, k, ("orbit mismatch", lo))
         if [p for p, _ in hi_orbit] != [p for p, _ in g_hi]:
-            return ShadowReport(False, k, ("orbit mismatch", lap.hi))
+            return ShadowReport(False, k, ("orbit mismatch", hi))
         for i in range(k):
             u = lo_orbit[i][0]
             w = hi_orbit[i][0]
@@ -282,10 +260,8 @@ class PipelineTrace:
     indices: tuple
     betas: tuple
     gap_rows: tuple              # per schedule row; None when no comparison
-    psis: tuple
     final_psi: PsiTable
     final_g: ConstantSlopeMap
-    final_structure: MarkovStructure
     gamma: float
     residual: ResidualReport
     entropy_trend: float
@@ -308,21 +284,20 @@ class PipelineTrace:
         return "\n".join(lines) + "\n"
 
 
-def _finish(f: PwaMap, s: MarkovStructure, psi: PsiTable, grid_points: int,
-            *, indices, betas, gap_rows, psis, entropy_trend: float,
-            converged: bool, markov_exact: bool) -> PipelineTrace:
-    """The tail of both routes: g from the final structure and psi,
-    its residual on f, and the trace."""
+def _finish(f: PwaMap, psi: PsiTable, grid_points: int, *, indices, betas,
+            gap_rows, entropy_trend: float, converged: bool,
+            markov_exact: bool) -> PipelineTrace:
+    """The tail of both routes: g from psi and its structure, its
+    residual on f, and the trace."""
+    s = psi.structure
     g = build_constant_slope(s, psi)
     res = verify_semiconjugacy(f, g.map, psi, grid_points=grid_points)
     return PipelineTrace(
         indices=tuple(indices),
         betas=tuple(betas),
         gap_rows=tuple(gap_rows),
-        psis=tuple(psis),
         final_psi=psi,
         final_g=g,
-        final_structure=s,
         gamma=float(s.beta),
         residual=res,
         entropy_trend=entropy_trend,
@@ -359,8 +334,8 @@ def normalize(f: PwaMap, target: float = 1e-4,
             raise PreconditionError("entropy estimate not positive")
         psi = build_psi(s, min(target, 1e-6) / 8,
                         max_table_points=PIPELINE_TABLE_POINTS)
-        return _finish(f, s, psi, grid_points, indices=(0,),
-                       betas=(float(s.beta),), gap_rows=(None,), psis=(psi,),
+        return _finish(f, psi, grid_points, indices=(0,),
+                       betas=(float(s.beta),), gap_rows=(None,),
                        entropy_trend=entropy_spectral(s), converged=True,
                        markov_exact=True)
     ent = entropy_lapcount(f, depth=entropy_depth)
@@ -369,9 +344,9 @@ def normalize(f: PwaMap, target: float = 1e-4,
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
     grid = sorted(_grid(f, grid_points))
-    indices, betas, gap_rows, psis = [], [], [], []
+    indices, betas, gap_rows = [], [], []
     prev_vals = None
-    last = None  # (structure, psi)
+    last = None
     converged = False
     for n in schedule:
         g_n, cfg = markov_approx(f, n)
@@ -386,8 +361,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
         psi_n = build_psi(s_n, min(target, 1e-4) / 8,
                           max_table_points=PIPELINE_TABLE_POINTS)
         vals = [float(psi_n.eval(x, fast=True)) for x in grid]
-        psis.append(psi_n)
-        last = (s_n, psi_n)
+        last = psi_n
         if prev_vals is not None:
             gap = max(abs(u - w) for u, w in zip(vals, prev_vals))
             gap_rows.append(gap)
@@ -400,8 +374,6 @@ def normalize(f: PwaMap, target: float = 1e-4,
         prev_vals = vals
     if last is None:
         raise NonConvergence("no schedule step produced beta > 1")
-    s_fin, psi_fin = last
-    return _finish(f, s_fin, psi_fin, grid_points, indices=indices,
-                   betas=betas, gap_rows=gap_rows, psis=psis,
-                   entropy_trend=ent.trend, converged=converged,
-                   markov_exact=False)
+    return _finish(f, last, grid_points, indices=indices, betas=betas,
+                   gap_rows=gap_rows, entropy_trend=ent.trend,
+                   converged=converged, markov_exact=False)

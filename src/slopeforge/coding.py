@@ -17,11 +17,9 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from .entropy import entropy_lapcount
-from .errors import BudgetExceeded, PreconditionError
+from .errors import PreconditionError
 from .numeric import format_rational
-from .pwmap import LEFT, RIGHT, PwaMap, laps, preimage_sweep
-
-MAX_CODING_POINTS = 500_000
+from .pwmap import LEFT, RIGHT, PwaMap, lap_end_pullback, laps, preimage_sweep
 
 
 @dataclass(frozen=True)
@@ -144,20 +142,7 @@ def psm_reduce(f: PwaMap, depth: int = 16) -> QuotientResult:
     a, b = f.domain
     lap_list = laps(f)
     lap_los = [l.lo for l in lap_list]
-    boundary = sorted({l.lo for l in lap_list} | {l.hi for l in lap_list})
-    pts = set(boundary)
-    cur = boundary
-    for _ in range(depth - 1):
-        new = preimage_sweep(f, cur) - pts
-        pts |= new
-        if len(pts) > MAX_CODING_POINTS:
-            raise BudgetExceeded(
-                f"coding partition exceeded {MAX_CODING_POINTS} points"
-            )
-        cur = sorted(new)
-        if not cur:
-            break
-    pts = sorted(pts)
+    pts = lap_end_pullback(f, depth)
     codes = _cell_codes(f, pts, depth, lap_list, lap_los)
     ncells = len(pts) - 1
     flagged = [False] * ncells

@@ -154,7 +154,7 @@ def normal_form(f: PwaMap, target: float = 1e-6,
     psi = trace.final_psi
     g = trace.final_g
     evidence = _transitivity_evidence(
-        f, trace.final_structure if trace.markov_exact else None)
+        f, psi.structure if trace.markov_exact else None)
     return NormalForm(
         psi=psi,
         g=g,
@@ -173,10 +173,8 @@ def _trivial_trace(psi, g, residual) -> PipelineTrace:
         indices=(0,),
         betas=(gamma,),
         gap_rows=(None,),
-        psis=(psi,),
         final_psi=psi,
         final_g=g,
-        final_structure=None,
         gamma=gamma,
         residual=residual,
         entropy_trend=math.log(gamma),

@@ -31,6 +31,7 @@ RIGHT = "right"
 MAX_COMPOSE_NODES = 10**7     # nodes of one composite
 MAX_LAP_PIECES = 500_000      # (level, piece) states of one lap_counts call
 MAX_LAP_BITS = 10_000         # bits of one lap count, about 3,000 digits
+MAX_PULLBACK_STEPS = 500_000  # points × depth of one lap_end_pullback
 
 
 def locate_leq(pts, pts_float, x: Fraction) -> int:
@@ -439,11 +440,10 @@ def _germ_step(f: PwaMap, y: Fraction, side: Optional[str]) -> tuple:
     if side is None:
         return f.value_at(y), None
     side = _inward(f, y, side)
-    slope = f.slope_side(y, side)
-    y = f.eval(y, side)
-    if slope == 0:
-        return y, None
-    return y, side if slope > 0 else _flip(side)
+    seg = f.segments[f.segment_index(y, side)]
+    if seg.slope == 0:
+        return seg.y0, None
+    return seg.value(y), side if seg.slope > 0 else _flip(side)
 
 
 def lap_counts(f: PwaMap, upto: int) -> list:
@@ -614,29 +614,62 @@ def orbit(f: PwaMap, x: Fraction, k: int) -> list:
 def orbit_one_sided(f: PwaMap, x: Fraction, side: str, k: int) -> list:
     """Orbit of the one-sided germ (x, side): [(x0, s0), ..., (xk, sk)].
 
-    The side flips through decreasing branches and survives increasing
-    ones; a plateau lands exactly on its value and continues with the
-    right-preferring convention.
+    Each step is _germ_step, the rule of compose: the side flips through
+    decreasing branches and survives increasing ones, and after a flat
+    step it is None and later steps take value_at.  So xk is
+    iterate(f, k).eval(x, side).
+    """
+    out = [(Fraction(x), side)]
+    for _ in range(k):
+        out.append(_germ_step(f, *out[-1]))
+    return out
+
+
+# -- lap ends of f^k ----------------------------------------------------------
+
+
+def lap_end_pullback(f: PwaMap, depth: int) -> list:
+    """The lap ends of f, a and b included, and their preimages under
+    f, ..., f^(depth-1), in increasing order; every lap end of f^depth
+    is among them.
+
+    Callers walk each point `depth` steps, so more than
+    MAX_PULLBACK_STEPS points × depth raise BudgetExceeded, checked
+    after every sweep.
+    """
+    new = sorted({lap.lo for lap in laps(f)} | {f.domain[1]})
+    pts = set(new)
+    for _ in range(depth - 1):
+        new = sorted(preimage_sweep(f, new) - pts)
+        pts.update(new)
+        if len(pts) * depth > MAX_PULLBACK_STEPS:
+            raise BudgetExceeded(
+                f"pulling the lap ends back to depth {depth} needs more "
+                f"than {MAX_PULLBACK_STEPS} points × depth; lower the depth"
+            )
+        if not new:
+            break
+    return sorted(pts)
+
+
+def lap_ends(f: PwaMap, k: int) -> Iterable:
+    """Yield the lap ends of f^k, a and b included, in increasing order,
+    as (c, orbit of (c, LEFT), orbit of (c, RIGHT)) to depth k.
+
+    Nothing is composed.  A point of lap_end_pullback(f, k) is dropped
+    when its two germs end as (y, s) and (y, flip(s)), or as (y, None)
+    both: there f^k is continuous with one direction on both sides, and
+    laps(iterate(f, k)) merges the laps that meet at it.  The orbits are
+    yielded, not kept: at depth 12 there can be tens of thousands.
     """
     a, b = f.domain
-    cur, s = Fraction(x), side
-    out = [(cur, s)]
-    for _ in range(k):
-        slope = f.slope_side(cur, s)
-        y = f.eval(cur, s)
-        if slope > 0:
-            ns = s
-        elif slope < 0:
-            ns = _flip(s)
-        else:
-            ns = RIGHT
-        if y == a:
-            ns = RIGHT
-        elif y == b:
-            ns = LEFT
-        cur, s = y, ns
-        out.append((cur, s))
-    return out
+    for c in lap_end_pullback(f, k):
+        left = orbit_one_sided(f, c, LEFT, k)
+        right = orbit_one_sided(f, c, RIGHT, k)
+        (yl, sl), (yr, sr) = left[-1], right[-1]
+        if a < c < b and yl == yr and sr == (None if sl is None else _flip(sl)):
+            continue
+        yield c, left, right
 
 
 # -- PWA v1 text format ------------------------------------------------------

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-from slopeforge.pwmap import PwaMap
+from slopeforge.pwmap import LEFT, RIGHT, PwaMap, iterate, lap_ends, laps, orbit_one_sided
 
 
 def random_constant_slope(rng, m, slope):
@@ -35,3 +35,38 @@ def random_constant_slope(rng, m, slope):
         up = not up
     xs = [F(k, m + 1) for k in range(m + 2)]
     return PwaMap.from_pairs(list(zip(xs, ys)))
+
+
+def _germ_sides(f, x):
+    a, b = f.domain
+    return [side for side in (LEFT, RIGHT)
+            if not (side == LEFT and x == a) and not (side == RIGHT and x == b)]
+
+
+def check_orbits_follow_iterates(f, depth):
+    """Every one-sided orbit from a node of f ends where the composed
+    iterate takes it: orbit_one_sided walks compose's step rule."""
+    iterates = [f] + [iterate(f, k) for k in range(2, depth + 1)]
+    for node in f.nodes:
+        for side in _germ_sides(f, node.x):
+            walk = orbit_one_sided(f, node.x, side, depth)
+            got = [p for p, _ in walk[1:]]
+            want = [fk.eval(node.x, side) for fk in iterates]
+            assert got == want, (node.x, side)
+
+
+def check_lap_ends_match_iterates(f, depth):
+    """lap_ends(f, k) are the lap ends of the composed f^k, and each
+    orbit point is the composed iterate's one-sided value."""
+    b = f.domain[1]
+    iterates = [f] + [iterate(f, k) for k in range(2, depth + 1)]
+    for k, fk in enumerate(iterates, start=1):
+        ends = list(lap_ends(f, k))
+        assert [c for c, _, _ in ends] == [lap.lo for lap in laps(fk)] + [b], k
+        for c, left, right in ends:
+            assert len(left) == len(right) == k + 1
+            for side in _germ_sides(f, c):
+                walk = left if side == LEFT else right
+                assert walk[0] == (c, side)
+                assert [p for p, _ in walk[1:]] == [
+                    fj.eval(c, side) for fj in iterates[:k]], (k, c, side)

@@ -11,7 +11,7 @@ from slopeforge.approximation import (
 )
 from slopeforge.errors import PreconditionError
 from slopeforge.markov import is_markov
-from slopeforge.pwmap import PwaMap, sup_dist
+from slopeforge.pwmap import LEFT, RIGHT, PwaMap, iterate, laps, sup_dist
 
 PHI = (1 + 5**0.5) / 2
 V_A = (3 - 5**0.5) / 2
@@ -47,6 +47,45 @@ def test_monotone_shadowing_small():
         g, _ = markov_approx(f, n)
         for k in range(1, min(n, 3) + 1):
             assert check_monotone_shadowing(f, g, k)
+
+
+def _reference_points(f, n, k, iterates):
+    """P of markov_approx(f, n, shadow_depth=k) from the composed
+    iterates: the orbits of a, b and the lap ends of f^k to depth k,
+    read off f^j, and the power-of-two grid finer than delta."""
+    a, b = f.domain
+    k = min(k, n)
+    pts = {a, b}
+    for q in {a, b} | {lap.lo for lap in laps(iterates[k - 1])}:
+        for side in (RIGHT if q < b else LEFT, LEFT if q > a else RIGHT):
+            pts.update(fj.eval(q, side) for fj in iterates[:k])
+        pts.add(q)
+    top = max(abs(seg.slope) for seg in f.segments)
+    delta = min(F(1, 2 * n) / top if top > 1 else F(1, 2 * n), F(1, 4 * n))
+    grid_n = 1
+    while grid_n * delta <= b - a:
+        grid_n *= 2
+    pts.update(a + (b - a) * F(i, grid_n) for i in range(grid_n + 1))
+    return tuple(sorted(pts))
+
+
+REFERENCE_MAPS = {
+    "tent32": lambda: fixtures.tent_slope(F(3, 2)),
+    "tent75": fixtures.tent75,
+    "bimodal": fixtures.bimodal_nonmarkov,
+    "beta_map": lambda: PwaMap.from_triples(
+        [(0, None, 0), (F(2, 3), 1, 0), (1, F(1, 2), None)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_approx_points_match_composed_reference(name):
+    f = REFERENCE_MAPS[name]()
+    iterates = [f] + [iterate(f, k) for k in range(2, 9)]
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        for k in range(1, 9):
+            _, cfg = markov_approx(f, n, shadow_depth=k)
+            assert cfg.points == _reference_points(f, n, k, iterates), (n, k)
 
 
 def test_normalize_skew_tent_exact_step():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -339,6 +340,8 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["reduce", "{f}", "--depth", "0"], 3, "precondition"),
     (["entropy", "{f}", "--depth", "1000000"], 4, "non-convergence"),
     (["entropy", "{f}", "--depth", "20000", "--out", "{out}"], 4, "non-convergence"),
+    (["approx", "{bimodal}", "--index", "64", "--shadow-depth", "14",
+      "--out", "{out}"], 4, "non-convergence"),
     (["verify", "{f}", "{f}", "{psi}", "--tol", "nan"], 2, "parse"),
     (["normalize", "{f}", "--tol", "nan"], 2, "parse"),
     (["phi", "{f}", "--tol", "inf"], 2, "parse"),
@@ -347,14 +350,19 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["no-such-command", "{f}"], 2, "parse"),
 ], ids=["schedule", "points", "normalize_grid", "verify_grid",
         "entropy_depth", "reduce_depth", "entropy_depth_budget",
-        "entropy_count_bits", "verify_tol_nan",
+        "entropy_count_bits", "approx_shadow_depth_budget", "verify_tol_nan",
         "normalize_tol_nan", "phi_tol_inf", "entropy_depth_type",
         "missing_positional", "unknown_command"])
 def test_bad_argument_exit_codes(capsys, skew_file, tmp_path, argv, code, kind):
     psi = tmp_path / "psi.tsv"
     psi.write_text("x\tpsi\tx_exact\n0\t0\t0\n1\t1\t1\n")
-    argv = [a.format(f=skew_file, psi=psi, out=tmp_path / "e.tsv") for a in argv]
+    bimodal = tmp_path / "bimodal.pwa"
+    bimodal.write_text(serialize_pwa(fixtures.bimodal_nonmarkov()))
+    argv = [a.format(f=skew_file, psi=psi, out=tmp_path / "e.tsv", bimodal=bimodal)
+            for a in argv]
+    start = time.process_time()
     got, summary, out = run(capsys, argv)
+    assert time.process_time() - start < 10   # each refusal comes before the work
     assert got == code
     assert len(out.splitlines()) == 1
     assert summary["error"][0].startswith(kind)

@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_lap_ends_match_iterates, check_orbits_follow_iterates
 from slopeforge import fixtures, numeric
-from slopeforge.approximation import normalize, verify_semiconjugacy
+from slopeforge.approximation import (
+    PIPELINE_TABLE_POINTS,
+    markov_approx,
+    normalize,
+    verify_semiconjugacy,
+)
 from slopeforge.entropy import entropy_lapcount
 from slopeforge.errors import FormatError
 from slopeforge.graphmap import parse_graph
@@ -20,6 +26,7 @@ from slopeforge.markov import (
     perron,
     refine,
     serialize_matrix,
+    structure_from_points,
 )
 from slopeforge.pwmap import (
     INCREASING,
@@ -91,6 +98,16 @@ def test_lap_counts_match_composition_random():
         f = random_pwa(rng)
         want = [len(laps(iterate(f, k))) for k in range(1, 7)]
         assert lap_counts(f, 6) == want, f.nodes
+
+
+def test_orbits_and_lap_ends_follow_composition_random():
+    # one-sided orbits and the lap ends of f^k against the composed
+    # iterates, on maps with jumps and plateaus
+    rng = random.Random(2025)
+    for _ in range(200):
+        f = random_pwa(rng)
+        check_orbits_follow_iterates(f, 5)
+        check_lap_ends_match_iterates(f, 5)
 
 
 def test_refinement_cell_growth_tracks_beta():
@@ -195,16 +212,27 @@ def test_normalize_residual_contract():
 
 def test_equicontinuity_surrogate():
     target = 1e-2
-    tr = normalize(fixtures.tent_slope(F(3, 2)), target=target,
+    f = fixtures.tent_slope(F(3, 2))
+    tr = normalize(f, target=target,
                    schedule=[2, 4, 8, 16, 32, 64], grid_points=512)
     alpha = min(b for b in tr.betas if b > 1)
     k = math.ceil(math.log(2 / target) / math.log(alpha))
     grid = [F(i, 512) for i in range(513)]
+    # the factor maps of the schedule steps, built as normalize builds them
+    psis = []
+    for n, beta in zip(tr.indices, tr.betas):
+        if beta <= 1:
+            continue
+        g_n, cfg = markov_approx(f, n)
+        s_n = structure_from_points(g_n, cfg.points, numeric="float")
+        psis.append(build_psi(s_n, min(target, 1e-4) / 8,
+                              max_table_points=PIPELINE_TABLE_POINTS))
+    assert psis[-1].xs == tr.final_psi.xs and psis[-1].ys == tr.final_psi.ys
     moduli = []
-    for psi in tr.psis:
+    for psi in psis:
         vals = [float(psi.eval(x, fast=True)) for x in grid]
         moduli.append(max(abs(b - a) for a, b in zip(vals, vals[1:])))
-    bound = 2 * alpha ** (-k) + 2 * tr.psis[-1].max_table_gap()
+    bound = 2 * alpha ** (-k) + 2 * psis[-1].max_table_gap()
     assert moduli[-1] <= bound + 0.05
     assert moduli[-1] <= moduli[0] + 1e-12
 

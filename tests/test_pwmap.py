@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import check_lap_ends_match_iterates, check_orbits_follow_iterates
 from slopeforge import fixtures, pwmap
 from slopeforge.errors import BudgetExceeded, FormatError, PreconditionError
 from slopeforge.graphmap import flatten, parse_graph
@@ -16,6 +17,8 @@ from slopeforge.pwmap import (
     compose,
     iterate,
     lap_counts,
+    lap_end_pullback,
+    lap_ends,
     laps,
     orbit,
     orbit_one_sided,
@@ -376,3 +379,50 @@ def test_lap_counts_budget_counts_pieces_not_intervals():
 
 def test_lap_counts_empty_depth():
     assert lap_counts(fixtures.tent(), 0) == []
+
+
+# -- lap ends of f^k by the pullback ----------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_MAPS))
+def test_orbit_one_sided_matches_composed_iterates(name):
+    check_orbits_follow_iterates(RECURSION_MAPS[name](), 5)
+
+
+def test_orbit_one_sided_through_a_plateau_takes_exact_values():
+    # f is 1/4 on [0, 1/8], so f^2 and f^3 are flat right of 0 too: the
+    # germ sits on 1/2 exactly and the jump at 1/2 takes its right value
+    # 1/10.  Back on one-sided steps it would come to 1/2 from the left
+    # (f falls right of 1/4) and take 9/10.
+    orbit_ = orbit_one_sided(PLATEAU_JUMPS, 0, RIGHT, 3)
+    assert orbit_ == [(0, RIGHT), (F(1, 4), None), (F(1, 2), None),
+                      (F(1, 10), None)]
+    assert iterate(PLATEAU_JUMPS, 3).eval(0, RIGHT) == F(1, 10)
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_MAPS))
+def test_lap_ends_match_composed_iterates(name):
+    depth = 5 if name in ("bimodal", "plateau_jumps") else 7
+    check_lap_ends_match_iterates(RECURSION_MAPS[name](), depth)
+
+
+def test_lap_end_pullback_is_the_preimage_sweep():
+    # trapezoid: lap ends 0, 2/5, 3/5, 1; the plateau [2/5, 3/5] adds no
+    # preimage, the two monotone laps one each of 2/5 and 3/5 (the
+    # preimages of 0 and 1 are lap ends already)
+    f = fixtures.trapezoid()
+    assert lap_end_pullback(f, 1) == [0, F(2, 5), F(3, 5), 1]
+    assert lap_end_pullback(f, 2) == [0, F(4, 25), F(6, 25), F(2, 5), F(3, 5),
+                                      F(19, 25), F(21, 25), 1]
+
+
+def test_lap_end_pullback_budget_is_checked_before_any_germ(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a germ was walked")
+
+    monkeypatch.setattr(pwmap, "_germ_step", no_walk)
+    monkeypatch.setattr(pwmap, "MAX_PULLBACK_STEPS", 100)
+    # the tent's pullback to depth k holds 2^k + 1 points
+    assert len(lap_end_pullback(fixtures.tent(), 4)) == 17   # 17 * 4 = 68
+    with pytest.raises(BudgetExceeded, match="points"):
+        next(lap_ends(fixtures.tent(), 5))                   # 33 * 5 = 165
