@@ -30,7 +30,16 @@ from .markov import (
     structure_from_points,
 )
 from .numeric import format_decimal
-from .pwmap import LEFT, RIGHT, Node, PwaMap, lap_ends, orbit_one_sided, sup_dist
+from .pwmap import (
+    LEFT,
+    RIGHT,
+    Node,
+    PwaMap,
+    lap_ends,
+    locate_leq,
+    orbit_one_sided,
+    sup_dist,
+)
 from .semiconjugacy import ConstantSlopeMap, PsiTable, build_constant_slope, build_psi
 
 DEFAULT_SCHEDULE = (2, 4, 8, 16, 32)
@@ -189,15 +198,19 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
 
     The grid is equispaced plus every breakpoint of f (see _grid); a
     detached table (no structure) snaps it to the table support, so it
-    is evaluated only where it is exact.
+    is evaluated only where it is exact.  f is read along the sorted
+    grid with one forward pointer over its nodes.
     """
     a, b = f.domain
     grid = _grid(f, grid_points)
     if psi.structure is None:
         snapped = set()
         txs = psi.xs
+        txsf = [float(t) for t in txs]
         for x in grid:
-            i = bisect.bisect_left(txs, x)
+            i = locate_leq(txs, txsf, x)
+            if i < 0 or txs[i] != x:
+                i += 1  # the first table point >= x
             if i >= len(txs):
                 i = len(txs) - 1
             snapped.add(txs[i])
@@ -205,14 +218,24 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
                 snapped.add(txs[i - 1])
         grid = snapped
     continuous = f.is_continuous
+    nodes, segments = f.nodes, f.segments
+    k = 0  # nodes[k].x <= x < nodes[k + 1].x, or x is the last node
     worst = 0.0
     for x in sorted(grid):
         zx = float(psi.eval(x, fast=True))
+        if not a <= x <= b:
+            f.eval(x)  # raises: x is outside f's domain
+        while k + 1 < len(nodes) and nodes[k + 1].x <= x:
+            k += 1
+        node = nodes[k] if nodes[k].x == x else None
         sides = (RIGHT,) if (continuous and x < b) else (LEFT, RIGHT)
         for side in sides:
             if (side == LEFT and x == a) or (side == RIGHT and x == b):
                 continue
-            y = f.eval(x, side)
+            if node is None:
+                y = segments[k].value(x)
+            else:
+                y = node.y_left if side == LEFT else node.y_right
             lhs = float(psi.eval(y, fast=True))
             rhs = g.eval_float(zx, side)
             r = abs(lhs - rhs)

@@ -12,11 +12,18 @@ accumulating the eigenvector mass that its refinement cells leave on
 each side, which certifies psi(x) to beta^-depth at O(depth) steps.
 The exact evaluator walks the orbit in rationals.  The fast evaluator
 walks it in float64 under a rigorous running bound on the orbit's
-forward error and decides every cell lookup from the float value only
-when the bound separates it from the cell boundaries; otherwise it
-re-walks that point exactly (a float filter with exact fallback, in the
-manner of Shewchuk's adaptive predicates).  Its decisions are therefore
-those of the exact walk and the beta^-depth certificate is unchanged.
+forward error and decides a cell lookup from the float value when the
+bound separates it from the cell boundaries (a float filter in the
+manner of Shewchuk's adaptive predicates).  Next to the bound it keeps
+an exactness flag: the float orbit equals the exact one for as long as
+x is a float64 and every step of a map whose data are float64 rounds
+nothing, which TwoSum and Dekker's TwoProduct check.  While the flag
+holds, a lookup the filter cannot separate, an exact hit on a partition
+point among them, is decided by plain comparison; when neither decides,
+the point is re-walked exactly.  Every decision is the exact walk's,
+and the mass accumulates by the exact walk's float operations, so the
+flag changes no value: each is the filter's or the exact re-walk's, and
+the beta^-depth certificate holds as for the exact walk.
 """
 
 from __future__ import annotations
@@ -49,6 +56,23 @@ NODE_DIGITS = 40
 # covers underflow; see PsiTable._descend_float
 FILTER_EPS = 2.0 ** -48
 FILTER_TINY = 2.0 ** -1000
+# float64 facts behind the exactness flag: Veltkamp's splitter 2^27 + 1,
+# and the least nonzero product whose Dekker error term cannot underflow
+# (exponent sum >= emin + p - 1 = -970)
+SPLITTER = 134217729.0
+PRODUCT_MIN = 2.0 ** -968
+
+
+def _is_float(q) -> bool:
+    """q is exactly a float64 of magnitude below 2^53, clear of underflow."""
+    d = q.denominator
+    return d & (d - 1) == 0 and d.bit_length() <= 1023 and q.numerator.bit_length() <= 53
+
+
+def _split_high(a: float) -> float:
+    """High half of Veltkamp's split of a; a minus it is the low half."""
+    c = SPLITTER * a
+    return c - (c - a)
 
 
 @dataclass(frozen=True)
@@ -74,6 +98,8 @@ class PsiTable:
         ys = self.ys
         object.__setattr__(self, "_tgap", max(
             (float(ys[i + 1] - ys[i]) for i in range(len(ys) - 1)), default=0.0))
+        # float shadow of the table's points, for locate_leq
+        object.__setattr__(self, "_txsf", [float(x) for x in self.xs])
         if self.structure is not None:
             s = self.structure
             V = s.prefix_sums()
@@ -90,9 +116,14 @@ class PsiTable:
             object.__setattr__(self, "_seg_s", [seg.slope for seg in f.segments])
             object.__setattr__(self, "_seg_yf", [float(seg.y0) for seg in f.segments])
             object.__setattr__(self, "_seg_sf", [float(seg.slope) for seg in f.segments])
-            # table data for the interpolated tail of the descent
-            object.__setattr__(self, "_txs", list(self.xs))
-            object.__setattr__(self, "_txsf", [float(x) for x in self.xs])
+            object.__setattr__(self, "_seg_sh", [_split_high(sl) for sl in self._seg_sf])
+            # the float orbit of x can be exact only on a map whose
+            # partition points and affine data are float64 values
+            exact_map = all(map(_is_float, s.points)) and all(
+                _is_float(q) for seg in f.segments for q in (seg.x0, seg.y0, seg.slope))
+            object.__setattr__(self, "_exact_map", exact_map)
+            object.__setattr__(self, "_exact_table", exact_map and all(map(_is_float, self.xs)))
+            # table values for the interpolated tail of the descent
             object.__setattr__(self, "_tys", list(self.ys))
             object.__setattr__(self, "_tys_f", [float(y) for y in self.ys])
 
@@ -119,17 +150,12 @@ class PsiTable:
                 return y
             one = self._V[-1] / self._V[-1]
             return self._descend(x, self._V, self.beta, one)
-        i = bisect.bisect_left(self.xs, x)
-        if i < len(self.xs) and self.xs[i] == x:
-            return self.ys[i]
-        if i == 0 or i == len(self.xs):
+        if not self.xs[0] <= x <= self.xs[-1]:
             raise PreconditionError(f"x={x} outside the psi table domain")
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        y0, y1 = self.ys[i - 1], self.ys[i]
-        return y0 + (y1 - y0) * float((x - x0) / (x1 - x0))
+        return self._table_interp(x, self.ys)
 
     def _table_interp(self, x: Fraction, ys):
-        txs = self._txs
+        txs = self.xs
         i = locate_leq(txs, self._txsf, x)
         if txs[i] == x:
             return ys[i]
@@ -210,15 +236,37 @@ class PsiTable:
         data and of the bound's own evaluation; t = 2^-1000 covers
         underflow.  A float z with bound e is on the same side of a
         point p (stored as p = fl(p)) as the exact orbit when
-        |z - p| > e + 32u (|z| + |p|).  Each segment lookup, partition
-        cell lookup and table-tail cell lookup must pass that test on
-        both neighbours, so every index the walk uses is the exact
-        walk's and no exact hit on a partition point can go unseen;
-        when a test fails the walk gives up (None) and the caller
-        re-walks exactly.  The tail interpolation ratio is clamped to
-        [0, 1], so the value read off the certified table cell stays
-        between that cell's end values, as psi(x) does: the tail error
-        is at most scale * max gap <= beta^-depth, as in the exact walk.
+        |z - p| > e + 32u (|z| + |p|).  This filter separates each
+        segment lookup, partition cell lookup and table-tail cell lookup
+        from both neighbours, so the index is the exact walk's.
+
+        Next to e the walk keeps an exactness flag: the float orbit is
+        the exact orbit.  It starts true when x is a float64 (a
+        power-of-two denominator, at most 53 significant bits, no
+        underflow) and the map's partition points and affine data are
+        float64 values (_exact_map), and it stays true while every step
+        rounds nothing: the error terms of TwoSum on x - x0 and y0 + s d
+        and of Dekker's TwoProduct on s d (Veltkamp's split; there is no
+        fma) all vanish, with the product clear of underflow.  While it
+        holds, a lookup the filter cannot separate is decided by plain
+        comparison against the exactly stored points, an exact hit
+        y = p included, which then ends the walk as the exact walk's hit
+        does; table lookups need an exact table too (_exact_table).  When
+        neither decides, the walk gives up (None) and the caller
+        re-walks exactly.
+
+        Every decision is the exact walk's, and the mass accumulates by
+        the float operations of _descend(x, V_f, beta_f, 1.0), so the
+        flag changes no value: a walk whose lookups all pass the filter
+        returns the filter's value, and one the flag had to decide
+        returns the exact walk's float value.  At the tail the latter
+        needs an exact interpolation ratio (both differences exact, so
+        the float quotient is the correctly rounded ratio, as float() of
+        the rational one); otherwise such a walk gives up.  The ratio is
+        clamped to [0, 1], so the value read off the certified table
+        cell stays between that cell's end values, as psi(x) does: the
+        tail error is at most scale * max gap <= beta^-depth, as in the
+        exact walk.
         """
         bisect_right = bisect.bisect_right
         pts = self._pts
@@ -233,15 +281,18 @@ class PsiTable:
             return V[i]
         covers = self.structure.covers
         dirs = self.structure.directions
-        seg_xf, seg_yf, seg_sf = self._seg_xf, self._seg_yf, self._seg_sf
+        seg_xf, seg_yf, seg_sf, seg_sh = self._seg_xf, self._seg_yf, self._seg_sf, self._seg_sh
         txsf, tys = self._txsf, self._tys_f
         nseg, npts, ntab = len(seg_xf), len(ptsf), len(txsf)
         eps, tiny, grow = FILTER_EPS, FILTER_TINY, 1.0 + FILTER_EPS
+        splitter, pmin = SPLITTER, PRODUCT_MIN
         beta = float(self.beta)
         tail = beta ** (-self.depth)
         tgap = self._tgap
         xf = float(x)
         err = eps * abs(xf) + tiny
+        exact = self._exact_map and _is_float(x)
+        filtered = True  # every lookup so far passed the filter
         acc = V[i]
         scale = 1.0
         rel_left = True
@@ -250,12 +301,26 @@ class PsiTable:
                 t = bisect_right(txsf, xf) - 1
                 if t < 0 or t + 1 >= ntab:
                     return None
+                exact_cell = exact and self._exact_table
                 x0, x1 = txsf[t], txsf[t + 1]
-                if (xf - x0 <= err + eps * (abs(xf) + abs(x0))
-                        or x1 - xf <= err + eps * (abs(xf) + abs(x1))):
-                    return None
-                ratio = min(max((xf - x0) / (x1 - x0), 0.0), 1.0)
-                approx = tys[t] + (tys[t + 1] - tys[t]) * ratio
+                dx, w = xf - x0, x1 - x0
+                sep = (dx > err + eps * (abs(xf) + abs(x0))
+                       and x1 - xf > err + eps * (abs(xf) + abs(x1)))
+                if not sep:
+                    if not exact_cell:
+                        return None
+                    filtered = False
+                if dx == 0.0:  # an exact hit on a table point
+                    approx = tys[t]
+                else:
+                    if not filtered:
+                        zd, zw = dx - xf, w - x1
+                        if not (exact_cell
+                                and (xf - (dx - zd)) + (-x0 - zd) == 0.0
+                                and (x1 - (w - zw)) + (-x0 - zw) == 0.0):
+                            return None
+                    ratio = min(max(dx / w, 0.0), 1.0)
+                    approx = tys[t] + (tys[t + 1] - tys[t]) * ratio
                 if rel_left:
                     return acc + scale * (approx - V[i])
                 return acc + scale * (V[i + 1] - approx)
@@ -269,29 +334,50 @@ class PsiTable:
                 return None
             x0 = seg_xf[k]
             dx = xf - x0
-            if dx <= err + eps * (abs(xf) + abs(x0)):
-                return None
-            if k + 1 < nseg:
+            sep = dx > err + eps * (abs(xf) + abs(x0))
+            if sep and k + 1 < nseg:
                 x1 = seg_xf[k + 1]
-                if x1 - xf <= err + eps * (abs(xf) + abs(x1)):
+                sep = x1 - xf > err + eps * (abs(xf) + abs(x1))
+            if not sep:
+                if not exact:
                     return None
+                filtered = False
             y0, sl = seg_yf[k], seg_sf[k]
-            y = y0 + sl * dx
+            p = sl * dx
+            y = y0 + p
+            if exact:
+                # TwoSum on xf - x0 and y0 + p, TwoProduct on sl * dx
+                zd, zy = dx - xf, y - y0
+                sh, c = seg_sh[k], splitter * dx
+                dh = c - (c - dx)
+                dl, st = dx - dh, sl - sh
+                exact = ((xf - (dx - zd)) + (-x0 - zd) == 0.0
+                         and (abs(p) >= pmin or dx == 0.0 or sl == 0.0)
+                         and ((sh * dh - p) + sh * dl + st * dh) + st * dl == 0.0
+                         and (y0 - (y - zy)) + (p - zy) == 0.0)
             sl = abs(sl)
             err = (sl * err * grow
                    + eps * (abs(y0) + sl * (abs(x0) + dx) + abs(y)) + tiny)
             j = bisect_right(ptsf, y) - 1
-            if j < 0 or j + 1 >= npts:
-                return None
-            p0, p1 = ptsf[j], ptsf[j + 1]
-            if (y - p0 <= err + eps * (abs(y) + abs(p0))
-                    or p1 - y <= err + eps * (abs(y) + abs(p1))):
-                return None
-            # y lies strictly inside cell j: the exact walk's non-hit case
+            hit = False
+            sep = 0 <= j < npts - 1
+            if sep:
+                p0, p1 = ptsf[j], ptsf[j + 1]
+                sep = (y - p0 > err + eps * (abs(y) + abs(p0))
+                       and p1 - y > err + eps * (abs(y) + abs(p1)))
+            if not sep:
+                if not exact or j < 0:
+                    return None
+                filtered = False
+                hit = y == ptsf[j]
             if rel_left == (d > 0):
                 acc = acc + scale * (V[j] - V[lo])
+                if hit:
+                    return acc
                 rel_left = True
             else:
+                if hit:
+                    return acc + scale * (V[hi] - V[j])
                 acc = acc + scale * (V[hi] - V[j + 1])
                 rel_left = False
             xf, i = y, j

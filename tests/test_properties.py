@@ -6,7 +6,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import check_lap_ends_match_iterates, check_orbits_follow_iterates
@@ -320,6 +320,44 @@ def test_psi_tsv_round_trip_property(xs, ys):
     assert back.xs == xs
     for u, w in zip(back.ys, ys):
         assert abs(u - w) <= 1e-14
+
+
+@st.composite
+def dyadic_markov_maps(draw):
+    """A map on [0, 1] with nodes at k/n and values on the same grid,
+    n a power of two, and slopes +-1, 2, 4 or 8: Markov on the grid, with
+    float64 data and a refinement of dyadic points."""
+    n = draw(st.sampled_from((2, 4, 8)))
+    jumps = draw(st.booleans())
+    triples = []
+    yl = None
+    for k in range(n):
+        if k == 0 or jumps:
+            start = draw(st.integers(0, n))
+        else:
+            start = yl
+        steps = [d for m in (1, 2, 4, 8) for d in (m, -m) if 0 <= start + d <= n]
+        end = start + draw(st.sampled_from(steps))
+        triples.append((F(k, n), None if yl is None else F(yl, n), F(start, n)))
+        yl = end
+    triples.append((F(1), F(yl, n), None))
+    return PwaMap.from_triples(triples)
+
+
+@PROPERTY
+@given(dyadic_markov_maps(),
+       st.lists(st.integers(0, 2**20), min_size=1, max_size=20))
+def test_fast_psi_is_the_exact_walk_on_dyadic_markov_maps(f, ks):
+    s = markov_closure(f, 100)
+    assume(float(s.beta) > 1)
+    psi = build_psi(s, 1e-7, max_table_points=257)
+    assert psi._exact_map and psi._exact_table
+    for k in ks:
+        x = F(k, 2**20)
+        fast = psi._descend_float(x)
+        assert fast is not None, x
+        assert fast.hex() == psi._descend(x, psi._Vf, float(psi.beta), 1.0).hex(), x
+        assert psi.eval(x, fast=True) == fast
 
 
 PSI_TSV = "x\tpsi\tx_exact\n0\t0\t0\n0.5\t0.5\t1/2\n1\t1\t1\n"

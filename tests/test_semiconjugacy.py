@@ -3,12 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from slopeforge import fixtures
-from slopeforge.approximation import markov_approx
+from slopeforge.approximation import markov_approx, normalize
 from slopeforge.errors import FormatError, PreconditionError
+from slopeforge.graphmap import flatten, parse_graph
 from slopeforge.markov import markov_closure, refine, structure_from_points
 from slopeforge.pwmap import PwaMap, preimage_points, sup_dist
 from slopeforge.semiconjugacy import (
     PsiTable,
+    _is_float,
     build_constant_slope,
     build_psi,
     check_compatibility,
@@ -126,12 +128,22 @@ def t32_structure():
     return structure_from_points(g, cfg.points, numeric="float")
 
 
+# a kink at 1/3 inside the cell [0, 1/2], mapped to 2/5, no partition point
+KINK_AT_THIRD = [(0, 0), (F(1, 3), F(2, 5)), (F(1, 2), 1), (1, 0)]
+
+
+def exact_walk(psi, x):
+    """The fast evaluator's fallback: the exact orbit, accumulated in float."""
+    return psi._descend(x, psi._Vf, float(psi.beta), 1.0)
+
+
 def test_fast_eval_within_error_bound_of_exact():
     golden = build_psi(golden_s(), 1e-7)
     assert golden.depth == 34
-    # the orbit 1/4 -> 3/4 -> 1/2 lands exactly on a partition point,
-    # which a float orbit cannot decide: the exact walk must take over
-    assert golden._descend_float(F(1, 4)) is None
+    # the orbit 1/4 -> 3/4 -> 1/2 lands exactly on a partition point; on
+    # golden's float64 data the float orbit of 1/4 is exact, so the float
+    # walk decides the hit, with the exact walk's value
+    assert golden._descend_float(F(1, 4)).hex() == exact_walk(golden, F(1, 4)).hex()
     skew = build_psi(markov_closure(fixtures.skew_tent(F(5, 12)), 100), 1e-7)
     t32 = build_psi(t32_structure(), 1e-4 / 8, max_table_points=4097)
     cases = (
@@ -150,16 +162,29 @@ def test_fast_eval_within_error_bound_of_exact():
             fast = psi.eval(x, fast=True)
             assert isinstance(fast, float)
             assert abs(fast - float(psi.eval(x))) <= psi.error_bound, (name, x)
-    assert fallbacks["golden"] >= 1
     assert fallbacks["t32"] >= len(cases[2][2]) // 10
+    # on golden's dyadic grid every orbit is exact: no fallback, and the
+    # value of every decided hit is the exact walk's, bit for bit
+    for x in (F(k, 512) for k in range(513)):
+        fast = golden._descend_float(x)
+        assert fast is not None and fast.hex() == exact_walk(golden, x).hex(), x
 
 
-def test_float_descent_never_decides_an_exact_hit():
+def test_float_descent_decides_an_exact_hit_only_on_an_exact_orbit():
     # every table point outside P_0 has an orbit that lands exactly on a
     # partition point, or on a table point once the walk switches to the
-    # table: no float orbit may decide such a lookup
+    # table.  golden's points and data are float64 values, so the float
+    # orbit is exact and decides the hit as the exact walk does
+    s = markov_closure(fixtures.golden(), 100)
+    psi = build_psi(s, 1e-7, max_table_points=16385)
+    hits = [x for x in psi.xs if x not in set(s.points)]
+    assert hits
+    for x in hits:
+        fast = psi._descend_float(x)
+        assert fast is not None and fast.hex() == exact_walk(psi, x).hex(), x
+    # the data of skew 5/12 and of the t32 approximant are not float64
+    # values: no float orbit may decide such a lookup
     cases = (
-        (markov_closure(fixtures.golden(), 100), 1e-7, 16385),
         (markov_closure(fixtures.skew_tent(F(5, 12)), 100), 1e-7, 16385),
         (t32_structure(), 1e-4 / 8, 4097),
     )
@@ -173,7 +198,7 @@ def test_float_descent_never_decides_an_exact_hit():
     # a kink at 1/3 inside the cell [0, 1/2], mapped to 2/5, no partition
     # point: orbits that land on it exactly must give up at the segment
     # lookup
-    f = PwaMap.from_pairs([(0, 0), (F(1, 3), F(2, 5)), (F(1, 2), 1), (1, 0)])
+    f = PwaMap.from_pairs(KINK_AT_THIRD)
     s = markov_closure(f, 100)
     assert s.points == (0, F(1, 2), 1)
     psi = build_psi(s, 1e-7)
@@ -182,6 +207,100 @@ def test_float_descent_never_decides_an_exact_hit():
         level = [x for y in level for x in preimage_points(f, y)]
         for x in level:
             assert psi._descend_float(x) is None, x
+
+
+# Markov on {0, 1/4, 1/2, 1}: slopes 4, -4 and 1/2; its first piece
+# fixes 0, so orbits near 0 stay tiny for a step
+FOUR_HALF = [(0, 0), (F(1, 4), 1), (F(1, 2), 0), (1, F(1, 4))]
+# float64 data, slopes 3, 1 and -2, Markov partition {0, 1/2, 1}
+THREE_ONE_TWO = [(0, 0), (F(1, 4), F(3, 4)), (F(1, 2), 1), (1, 0)]
+
+
+def check_flag_off(psi, x):
+    """The float walk gives up on x, and eval falls back to the exact walk."""
+    assert psi._descend_float(x) is None, x
+    assert psi.eval(x, fast=True).hex() == exact_walk(psi, x).hex()
+
+
+def test_exactness_flag_is_off_for_a_point_that_is_not_a_float():
+    golden = build_psi(golden_s(), 1e-7)
+    # dyadic, but its numerator needs 60 bits: its float is the partition
+    # point 1/2, which the filter cannot separate from it
+    x = F(1, 2) + F(1, 2**60)
+    assert x.numerator >= 2**53 and not _is_float(x)
+    check_flag_off(golden, x)
+    # 53 bits, a float: decided
+    x = F(1, 2) + F(1, 2**53)
+    assert _is_float(x) and golden._descend_float(x) is not None
+
+
+def test_exactness_flag_drops_on_an_inexact_product():
+    psi = build_psi(markov_closure(PwaMap.from_pairs(THREE_ONE_TWO), 100), 1e-7)
+    assert psi._exact_map
+    # x = fl(1/12) is a float, and fl(3 x) rounds to the node 1/4, which
+    # the exact orbit 3 x misses: only TwoProduct sees it
+    x = F(1 / 12)
+    assert _is_float(x) and float(3 * x) == 0.25 and 3 * x != F(1, 4)
+    check_flag_off(psi, x)
+
+
+def test_exactness_flag_is_off_on_a_map_with_a_non_dyadic_node():
+    psi = build_psi(markov_closure(PwaMap.from_pairs(KINK_AT_THIRD), 100), 1e-7)
+    assert not psi._exact_map
+    # fl(1/3) < 1/3 is a float, but it is the float node of the kink:
+    # a float segment lookup would put it on the wrong piece
+    check_flag_off(psi, F(1 / 3))
+    # 3/4 -> 1/2 hits a partition point exactly; no flag decides it here
+    check_flag_off(psi, F(3, 4))
+
+
+def test_exactness_flag_is_off_near_underflow():
+    psi = build_psi(markov_closure(PwaMap.from_pairs(FOUR_HALF), 100), 1e-7)
+    assert psi._exact_map
+    # below the normal range: not a float for the flag
+    x = F(1, 2**1030)
+    assert not _is_float(x)
+    check_flag_off(psi, x)
+    # a float, but its product 4 x is too small for TwoProduct's check
+    x = F(1, 2**1000)
+    assert _is_float(x)
+    check_flag_off(psi, x)
+
+
+def test_a_rescued_walk_returns_the_exact_walks_value():
+    # the map is float64 but its table is not (preimages under slope 3):
+    # points within 40 * 2^-50 of the partition point 1/2 defeat the
+    # filter and are decided by the flag, so their value must be the
+    # exact walk's, which the table tail gives only on exact data
+    s = markov_closure(PwaMap.from_pairs(THREE_ONE_TWO), 100)
+    psi = build_psi(s, 1e-7)
+    assert psi._exact_map and not psi._exact_table
+    decided = 0
+    for p in s.points[1:-1]:
+        for k in range(1, 40):
+            for x in (p - k * F(1, 2**50), p + k * F(1, 2**50)):
+                decided += psi._descend_float(x) is not None
+                assert psi.eval(x, fast=True).hex() == exact_walk(psi, x).hex(), x
+    assert decided > 0
+
+
+@pytest.mark.parametrize("name", ["golden", "circle_doubling"])
+def test_normalize_on_dyadic_maps_never_walks_exactly_from_the_fast_path(
+        monkeypatch, name):
+    f = fixtures.golden() if name == "golden" else flatten(
+        parse_graph(fixtures.CIRCLE_DOUBLING))[0]
+    fallbacks = []
+    descend = PsiTable._descend
+
+    def counting(self, x, V, beta, scale):
+        if V is self._Vf:
+            fallbacks.append(x)
+        return descend(self, x, V, beta, scale)
+
+    monkeypatch.setattr(PsiTable, "_descend", counting)
+    trace = normalize(f, target=1e-6)
+    assert trace.residual.grid_points > 4096
+    assert fallbacks == []
 
 
 def test_psi_eval_monotone_on_grid():
