@@ -98,16 +98,13 @@ def markov_approx(f: PwaMap, n: int,
             f"approximation needs {len(pts)} points (> {MAX_APPROX_POINTS})"
         )
     P = sorted(pts)
+    Pf = [float(p) for p in P]
 
-    def snap(y: Fraction) -> Fraction:
-        return P[bisect.bisect_right(P, y) - 1]
+    def snap(y: Optional[Fraction]) -> Optional[Fraction]:
+        return None if y is None else P[locate_leq(P, Pf, y)]
 
-    nodes = []
-    for p in P:
-        yl = None if p == a else snap(f.eval(p, LEFT))
-        yr = None if p == b else snap(f.eval(p, RIGHT))
-        nodes.append(Node(p, yl, yr))
-    g = PwaMap(nodes)
+    g = PwaMap([Node(p, snap(yl), snap(yr))
+                for p, (yl, yr) in zip(P, f.sides(P))])
     dist = sup_dist(f, g)
     if dist * n >= 1:
         raise VerificationError(
@@ -198,10 +195,9 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
 
     The grid is equispaced plus every breakpoint of f (see _grid); a
     detached table (no structure) snaps it to the table support, so it
-    is evaluated only where it is exact.  f is read along the sorted
-    grid with one forward pointer over its nodes.
+    is evaluated only where it is exact.  f's one-sided values along the
+    sorted grid come from one PwaMap.sides pass.
     """
-    a, b = f.domain
     grid = _grid(f, grid_points)
     if psi.structure is None:
         snapped = set()
@@ -218,24 +214,16 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
                 snapped.add(txs[i - 1])
         grid = snapped
     continuous = f.is_continuous
-    nodes, segments = f.nodes, f.segments
-    k = 0  # nodes[k].x <= x < nodes[k + 1].x, or x is the last node
+    xs = sorted(grid)
     worst = 0.0
-    for x in sorted(grid):
+    for x, (yl, yr) in zip(xs, f.sides(xs)):
         zx = float(psi.eval(x, fast=True))
-        if not a <= x <= b:
-            f.eval(x)  # raises: x is outside f's domain
-        while k + 1 < len(nodes) and nodes[k + 1].x <= x:
-            k += 1
-        node = nodes[k] if nodes[k].x == x else None
-        sides = (RIGHT,) if (continuous and x < b) else (LEFT, RIGHT)
-        for side in sides:
-            if (side == LEFT and x == a) or (side == RIGHT and x == b):
+        # on a continuous f the right value stands for both sides, except at b
+        if continuous and yr is not None:
+            yl = None
+        for side, y in ((LEFT, yl), (RIGHT, yr)):
+            if y is None:
                 continue
-            if node is None:
-                y = segments[k].value(x)
-            else:
-                y = node.y_left if side == LEFT else node.y_right
             lhs = float(psi.eval(y, fast=True))
             rhs = g.eval_float(zx, side)
             r = abs(lhs - rhs)

@@ -243,16 +243,9 @@ def cmd_plot(args) -> CommandResult:
     width = b - a
     res = CommandResult()
     lines = []
-    for k in range(args.samples + 1):
-        x = a + width * Fraction(k, args.samples)
-        i = f.node_index(x)
-        if i >= 0:
-            n = f.nodes[i]
-            vals = [v for v in (n.y_left, n.y_right) if v is not None]
-            if len(vals) == 2 and vals[0] == vals[1]:
-                vals = vals[:1]
-        else:
-            vals = [f.eval(x)]
+    xs = [a + width * Fraction(k, args.samples) for k in range(args.samples + 1)]
+    for x, (yl, yr) in zip(xs, f.sides(xs)):
+        vals = [yl] if yl == yr else [v for v in (yl, yr) if v is not None]
         for v in vals:
             lines.append(f"{format_decimal(x)}\t{format_decimal(v)}")
     text = "\n".join(lines) + "\n"

@@ -231,19 +231,17 @@ def _factor_map(f: PwaMap, psi0: PwaMap, collapse):
     Breakpoints: the nodes of f, the collapse boundaries, and their
     f-preimages (where the image crosses a kink of psi0).
     """
-    a, b = f.domain
     psi_nodes = sorted({n.x for n in psi0.nodes})
-    cuts = {n.x for n in f.nodes} | {a, b} | set(psi_nodes)
+    cuts = {n.x for n in f.nodes} | set(psi_nodes)
     cuts |= preimage_sweep(f, psi_nodes)
-    zs = {}
-    for x in sorted(cuts):
-        z = psi0.eval(x)
-        zs.setdefault(z, []).append(x)
+    xs = sorted(cuts)
+    groups = {}   # psi0 value -> f's one-sided values at its cuts, in order
+    for (zl, zr), images in zip(psi0.sides(xs), f.sides(xs)):
+        z = zr if zl is None else zl   # psi0 is continuous
+        groups.setdefault(z, []).append(images)
     triples = []
-    for z in sorted(zs):
-        group = zs[z]
-        xl, xr = group[0], group[-1]
-        yl = psi0.eval(f.eval(xl, LEFT)) if xl > a else None
-        yr = psi0.eval(f.eval(xr, RIGHT)) if xr < b else None
-        triples.append((z, yl, yr))
+    for z in sorted(groups):
+        yl, yr = groups[z][0][0], groups[z][-1][1]
+        triples.append((z, None if yl is None else psi0.eval(yl),
+                        None if yr is None else psi0.eval(yr)))
     return PwaMap.from_triples(triples)

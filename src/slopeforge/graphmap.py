@@ -238,7 +238,6 @@ def flatten(gm: GraphMapSpec) -> tuple:
         return step_flat(word, j, "start")
 
     nodes: List[Node] = []
-    all_x: List[Fraction] = []
     values: Dict[Fraction, list] = {}
     for k, (eid, head, tail) in enumerate(graph.edges):
         act = gm.actions[eid]
@@ -284,7 +283,6 @@ def flatten(gm: GraphMapSpec) -> tuple:
 
 @dataclass(frozen=True)
 class GraphNormalForm:
-    flat_map: PwaMap
     chart: FlatteningChart
     trace: PipelineTrace
     psi: PsiTable
@@ -364,7 +362,6 @@ def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
                                             graph, EDGE_COLLAPSE_TOL)
             ok = ok and same
     return GraphNormalForm(
-        flat_map=flat,
         chart=chart,
         trace=trace,
         psi=psi,

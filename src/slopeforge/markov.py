@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .numeric import mp_context
-from .pwmap import LEFT, RIGHT, PwaMap, laps
+from .pwmap import CONSTANT, DECREASING, INCREASING, LEFT, RIGHT, PwaMap, laps
 
 MP_MATRIX_CAP = 600          # above this the Perron solver switches to float64
 DENSE_MATRIX_CAP = 4096      # guard for materializing list-of-lists matrices
@@ -37,33 +37,26 @@ FIRST_CLOSURE_POINTS = 512   # the smaller budget of a first, cheap closure try
 # cell analysis
 # ---------------------------------------------------------------------------
 
-def _analyze_cell(f: PwaMap, lo: Fraction, hi: Fraction, y0: Fraction,
-                  y1: Fraction):
-    """(direction, y_lo, y_hi) of f on [lo, hi], or a violation string.
+_SIGN = {INCREASING: 1, DECREASING: -1, CONSTANT: 0}
 
-    y0 = f(lo+) and y1 = f(hi-) are the one-sided end values.  direction
-    is +1/-1/0; y_lo <= y_hi are the endpoints of the image.  The cell
-    must be continuous and strictly monotone or constant.
+
+def _cell_direction(f_laps, starts, lo: Fraction, hi: Fraction):
+    """Direction +1/-1/0 of f on [lo, hi], or a violation string.
+
+    f_laps is laps(f) and starts their lo ends.  The cell is continuous
+    and strictly monotone or constant exactly when no lap end of f lies
+    strictly inside it; its direction is then that of the lap holding
+    it.  Laps with one direction meet only at a jump, so the first lap
+    end inside is reported as a discontinuity there, and otherwise as a
+    change of direction.
     """
-    i0 = f.segment_index(lo, RIGHT)
-    i1 = f.segment_index(hi, LEFT)
-    sign = None
-    for i in range(i0, i1 + 1):
-        s = f.segments[i].slope
-        d = (s > 0) - (s < 0)
-        if sign is None:
-            sign = d
-        elif d != sign:
-            return f"not strictly-monotone-or-constant on [{lo}, {hi}]"
-        if i > i0:
-            node = f.nodes[i]
-            if node.y_left != node.y_right:
-                return f"discontinuity at {node.x} inside [{lo}, {hi}]"
-    if sign == 0 and y0 != y1:
-        return f"inconsistent plateau on [{lo}, {hi}]"
-    if sign != 0 and y0 == y1:
-        return f"not strictly-monotone-or-constant on [{lo}, {hi}]"
-    return (sign, min(y0, y1), max(y0, y1))
+    j = bisect.bisect_right(starts, lo) - 1
+    lap = f_laps[j]
+    if hi <= lap.hi:
+        return _SIGN[lap.direction]
+    if f_laps[j + 1].direction == lap.direction:
+        return f"discontinuity at {lap.hi} inside [{lo}, {hi}]"
+    return f"not strictly-monotone-or-constant on [{lo}, {hi}]"
 
 
 @dataclass(frozen=True)
@@ -79,10 +72,11 @@ class MarkovCheck:
 def _check_points(f: PwaMap, points: Sequence[Fraction]):
     """(MarkovCheck, cells) of is_markov's checks, made in one pass.
 
-    Each one-sided image of a P point is evaluated once and looked up in
-    an index of P; the same lookup gives each cell's cover range, and
-    each cell is analysed once.  cells is (P, directions, covers) when
-    the check passes, else None.
+    The one-sided images of P are read in one sorted pass (PwaMap.sides)
+    and looked up in an index of P; the same lookup gives each cell's
+    cover range.  Each cell takes its direction from the lap of f that
+    holds it (one bisect over the lap starts, see _cell_direction).
+    cells is (P, directions, covers) when the check passes, else None.
     """
     a, b = f.domain
     pts = [Fraction(p) for p in points]
@@ -91,27 +85,27 @@ def _check_points(f: PwaMap, points: Sequence[Fraction]):
     if not pts or pts[0] != a or pts[-1] != b:
         return MarkovCheck(False, "endpoints missing from P", (a, b)), None
     index = {p: i for i, p in enumerate(pts)}
-    last = len(pts) - 1
-    left = [None] * len(pts)     # f(p-)
-    right = [None] * len(pts)    # f(p+)
-    for i, p in enumerate(pts):
-        for side, out in ((LEFT, left), (RIGHT, right)):
-            if (side == LEFT and i == 0) or (side == RIGHT and i == last):
-                continue
-            y = out[i] = f.eval(p, side)
-            if y not in index:
+    sides = list(f.sides(pts))
+    for p, images in zip(pts, sides):
+        for y in images:
+            if y is not None and y not in index:
                 return MarkovCheck(
                     False, "image of a P point escapes P", (p, y)
                 ), None
+    f_laps = laps(f)
+    starts = [lap.lo for lap in f_laps]
     directions = []
     covers = []
-    for i in range(last):
-        res = _analyze_cell(f, pts[i], pts[i + 1], right[i], left[i + 1])
-        if isinstance(res, str):
-            return MarkovCheck(False, res, (pts[i], pts[i + 1])), None
-        sign, ylo, yhi = res
+    for i in range(len(pts) - 1):
+        sign = _cell_direction(f_laps, starts, pts[i], pts[i + 1])
+        if isinstance(sign, str):
+            return MarkovCheck(False, sign, (pts[i], pts[i + 1])), None
         directions.append(sign)
-        covers.append((i, i) if sign == 0 else (index[ylo], index[yhi]))
+        if sign == 0:
+            covers.append((i, i))
+        else:
+            ends = (index[sides[i][1]], index[sides[i + 1][0]])
+            covers.append(ends if sign > 0 else ends[::-1])
     return MarkovCheck(True), (tuple(pts), tuple(directions), tuple(covers))
 
 
@@ -461,20 +455,25 @@ def is_mixing_matrix(M) -> MixingReport:
 def transition_matrix(f: PwaMap, cells: Sequence[Tuple[Fraction, Fraction]]):
     """Dense 0/1 matrix: row A has 1s exactly on cells covered by f(A).
 
-    Constant cells give zero rows.  Cells must each be monotone or
-    constant and continuous for f.
+    Constant cells give zero rows.  Each cell [lo, hi] needs lo < hi,
+    and f must be monotone or constant and continuous on it.
     """
     if len(cells) > DENSE_MATRIX_CAP:
         raise BudgetExceeded(
             f"dense transition matrix capped at {DENSE_MATRIX_CAP} cells"
         )
+    f_laps = laps(f)
+    starts = [lap.lo for lap in f_laps]
     infos = []
     for lo, hi in cells:
         lo, hi = Fraction(lo), Fraction(hi)
-        res = _analyze_cell(f, lo, hi, f.eval(lo, RIGHT), f.eval(hi, LEFT))
-        if isinstance(res, str):
-            raise PreconditionError(res)
-        infos.append(res)
+        y0, y1 = f.eval(lo, RIGHT), f.eval(hi, LEFT)
+        if lo >= hi:
+            raise PreconditionError(f"empty cell [{lo}, {hi}]")
+        sign = _cell_direction(f_laps, starts, lo, hi)
+        if isinstance(sign, str):
+            raise PreconditionError(sign)
+        infos.append((sign, min(y0, y1), max(y0, y1)))
     out = []
     for sign, ylo, yhi in infos:
         if sign == 0:

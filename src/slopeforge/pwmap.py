@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, FormatError, PreconditionError
 from .numeric import format_rational, parse_rational
@@ -248,6 +248,32 @@ class PwaMap:
             return y
         seg = self._segments[self.segment_index(x, side)]
         return seg.value(x)
+
+    def sides(self, xs) -> Iterator[tuple]:
+        """Yield (f(x-), f(x+)) for each x of xs, sorted within the domain.
+
+        One forward pointer over the nodes: node values at a node,
+        segment.value(x) between nodes.  The side that leaves the domain
+        (left of a, right of b) is None.  The pairs are yielded, not
+        kept, so a long grid costs no memory.
+        """
+        nodes, segs = self.nodes, self._segments
+        a, b = self.domain
+        last = len(nodes) - 1
+        k = 0  # nodes[k].x <= x < nodes[k + 1].x, or x is the last node
+        for x in xs:
+            if not a <= x <= b:
+                raise PreconditionError(f"x={x} outside domain [{a}, {b}]")
+            while k < last and nodes[k + 1].x <= x:
+                k += 1
+            node = nodes[k]
+            if node.x == x:
+                yield node.y_left, node.y_right
+            elif node.x < x:
+                y = segs[k].value(x)
+                yield y, y
+            else:
+                raise PreconditionError(f"points not sorted at x={x}")
 
     def eval_float(self, z: float, side: str) -> float:
         """Float64 value of the map at z, clamped into the domain.
@@ -558,17 +584,10 @@ def sup_dist(f: PwaMap, g: PwaMap) -> Fraction:
     """
     if f.domain != g.domain:
         raise PreconditionError("sup_dist requires a common domain")
-    a, b = f.domain
     xs = sorted(set(f._xs) | set(g._xs))
-    best = Fraction(0)
-    for x in xs:
-        for side in (LEFT, RIGHT):
-            if (side == LEFT and x == a) or (side == RIGHT and x == b):
-                continue
-            d = abs(f.eval(x, side) - g.eval(x, side))
-            if d > best:
-                best = d
-    return best
+    return max(abs(u - w)
+               for fx, gx in zip(f.sides(xs), g.sides(xs))
+               for u, w in zip(fx, gx) if u is not None)
 
 
 # -- point preimages -------------------------------------------------------

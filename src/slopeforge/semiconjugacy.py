@@ -498,9 +498,8 @@ def build_constant_slope(s: MarkovStructure, psi: PsiTable) -> ConstantSlopeMap:
     beta = s.beta
     if float(beta) <= 1:
         raise PreconditionError("constant-slope construction needs beta > 1")
-    f = s.map
-    a, b = f.domain
     pts = s.points
+    images = list(s.map.sides(pts))
     # psi is exact on the structure points (table depth >= 0), so the
     # node-merge threshold is the collapse resolution, not the table error
     zs = [psi.eval(p) for p in pts]
@@ -518,13 +517,9 @@ def build_constant_slope(s: MarkovStructure, psi: PsiTable) -> ConstantSlopeMap:
         # endpoint groups pin the exact endpoint values 0 and 1; the
         # group-internal spread is eigenvector residual only
         z = zs[j] if gi == len(groups) - 1 else zs[i]
-        yl = None
-        yr = None
-        if gi > 0:
-            yl = psi.eval(f.eval(pts[i], LEFT))
-        if gi < len(groups) - 1:
-            yr = psi.eval(f.eval(pts[j], RIGHT))
-        triples.append((z, yl, yr))
+        yl, yr = images[i][0], images[j][1]
+        triples.append((z, None if yl is None else psi.eval(yl),
+                        None if yr is None else psi.eval(yr)))
     nodes = []
     for z, yl, yr in triples:
         nodes.append(

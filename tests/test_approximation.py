@@ -4,14 +4,16 @@ import pytest
 
 from slopeforge import fixtures
 from slopeforge.approximation import (
+    PIPELINE_TABLE_POINTS,
     check_monotone_shadowing,
     markov_approx,
     normalize,
     verify_semiconjugacy,
 )
 from slopeforge.errors import PreconditionError
-from slopeforge.markov import is_markov
+from slopeforge.markov import is_markov, structure_from_points
 from slopeforge.pwmap import LEFT, RIGHT, PwaMap, iterate, laps, sup_dist
+from slopeforge.semiconjugacy import build_constant_slope, build_psi
 
 PHI = (1 + 5**0.5) / 2
 V_A = (3 - 5**0.5) / 2
@@ -150,6 +152,27 @@ def test_verify_detects_perturbation():
     rep = verify_semiconjugacy(fixtures.skew_tent(F(5, 12)), bad, tr.final_psi,
                                grid_points=1000)
     assert rep.residual >= 0.004
+
+
+def test_sorted_reads_make_no_point_evaluations(monkeypatch):
+    # one schedule step of normalize reads its maps along sorted point
+    # sets (PwaMap.sides), so not one PwaMap.eval call is made
+    calls = []
+    point_eval = PwaMap.eval
+
+    def counted(self, *args):
+        calls.append(args)
+        return point_eval(self, *args)
+
+    monkeypatch.setattr(PwaMap, "eval", counted)
+    f = fixtures.tent_slope(F(3, 2))
+    g, cfg = markov_approx(f, 64)
+    s = structure_from_points(g, cfg.points, numeric="float")
+    psi = build_psi(s, 1e-5, max_table_points=PIPELINE_TABLE_POINTS)
+    cs = build_constant_slope(s, psi)
+    rep = verify_semiconjugacy(f, cs.map, psi, grid_points=64)
+    assert rep.residual < 0.1
+    assert calls == []
 
 
 def test_trace_tsv_layout():

@@ -4,9 +4,15 @@ from fractions import Fraction as F
 import pytest
 
 from slopeforge import fixtures
-from slopeforge.errors import BudgetExceeded, FormatError, PreconditionError
+from slopeforge.errors import (
+    BudgetExceeded,
+    FormatError,
+    NonConvergence,
+    PreconditionError,
+)
 from slopeforge.graphmap import flatten, parse_graph
 from slopeforge.markov import (
+    _check_points,
     is_markov,
     is_mixing_matrix,
     markov_closure,
@@ -192,6 +198,175 @@ def test_transition_trapezoid_zero_row():
 def test_transition_rejects_non_monotone_cell():
     with pytest.raises(PreconditionError):
         transition_matrix(fixtures.tent(), [(0, 1)])
+
+
+def test_transition_rejects_empty_cell():
+    # a cell is judged by the lap that holds it, which needs lo < hi
+    for cell in [(F(1, 4), F(1, 4)), (F(3, 4), F(1, 4))]:
+        with pytest.raises(PreconditionError, match="empty cell"):
+            transition_matrix(fixtures.tent(), [cell])
+
+
+# -- oracle: the per-segment walk that judged cells before laps() did --------
+
+def walk_cell(f, lo, hi, y0, y1):
+    """(direction, y_lo, y_hi) of f on [lo, hi], or a violation string.
+
+    y0 = f(lo+) and y1 = f(hi-).  Walks the segments of f across the
+    cell; the last two tests cannot fire on a continuous cell.
+    """
+    i0 = f.segment_index(lo, RIGHT)
+    i1 = f.segment_index(hi, LEFT)
+    sign = None
+    for i in range(i0, i1 + 1):
+        s = f.segments[i].slope
+        d = (s > 0) - (s < 0)
+        if sign is None:
+            sign = d
+        elif d != sign:
+            return f"not strictly-monotone-or-constant on [{lo}, {hi}]"
+        if i > i0:
+            node = f.nodes[i]
+            if node.y_left != node.y_right:
+                return f"discontinuity at {node.x} inside [{lo}, {hi}]"
+    if sign == 0 and y0 != y1:
+        return f"inconsistent plateau on [{lo}, {hi}]"
+    if sign != 0 and y0 == y1:
+        return f"not strictly-monotone-or-constant on [{lo}, {hi}]"
+    return (sign, min(y0, y1), max(y0, y1))
+
+
+def oracle_check(f, points):
+    """(ok, reason, witness, cells) of _check_points, by one eval per
+    point and side and walk_cell per cell."""
+    a, b = f.domain
+    pts = [F(p) for p in points]
+    if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
+        return False, "points not sorted/distinct", tuple(pts), None
+    if not pts or pts[0] != a or pts[-1] != b:
+        return False, "endpoints missing from P", (a, b), None
+    index = {p: i for i, p in enumerate(pts)}
+    for p in pts:
+        for side in (LEFT, RIGHT):
+            if (side == LEFT and p == a) or (side == RIGHT and p == b):
+                continue
+            y = f.eval(p, side)
+            if y not in index:
+                return False, "image of a P point escapes P", (p, y), None
+    directions, covers = [], []
+    for i, (lo, hi) in enumerate(zip(pts, pts[1:])):
+        res = walk_cell(f, lo, hi, f.eval(lo, RIGHT), f.eval(hi, LEFT))
+        if isinstance(res, str):
+            return False, res, (lo, hi), None
+        sign, ylo, yhi = res
+        directions.append(sign)
+        covers.append((i, i) if sign == 0 else (index[ylo], index[yhi]))
+    return True, None, None, (tuple(pts), tuple(directions), tuple(covers))
+
+
+def oracle_transition(f, cells):
+    rows = []
+    for lo, hi in cells:
+        res = walk_cell(f, lo, hi, f.eval(lo, RIGHT), f.eval(hi, LEFT))
+        if isinstance(res, str):
+            raise PreconditionError(res)
+        sign, ylo, yhi = res
+        rows.append([0 if sign == 0 else int(ylo <= blo and bhi <= yhi)
+                     for blo, bhi in cells])
+    return rows
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return ("error", str(exc))
+
+
+def image_closure(f, seeds, budget=64):
+    """Sorted closure of seeds and the domain ends under one-sided
+    images, or None past the budget."""
+    a, b = f.domain
+    pts = {a, b} | set(seeds)
+    frontier = list(pts)
+    while frontier:
+        if len(pts) > budget:
+            return None
+        p = frontier.pop()
+        for side in (LEFT, RIGHT):
+            if (side == LEFT and p == a) or (side == RIGHT and p == b):
+                continue
+            y = f.eval(p, side)
+            if y not in pts:
+                pts.add(y)
+                frontier.append(y)
+    return sorted(pts)
+
+
+def oracle_point_sets(f, rng):
+    """Point sets that reach each of the checks: random sorted sets (with
+    and without the ends), the node set, a reversed set, markov_closure's
+    points, and image-closed sets that need not contain the lap ends of f."""
+    a, b = f.domain
+    grid = sorted({n.x for n in f.nodes} | {a + (b - a) * F(k, 16) for k in range(17)})
+    sets = [sorted(rng.sample(grid, rng.randint(1, len(grid)))) for _ in range(2)]
+    sets.append(sorted({a, b} | set(rng.sample(grid, rng.randint(0, len(grid))))))
+    sets.append([n.x for n in f.nodes])
+    sets.append(grid[::-1])
+    try:
+        sets.append(list(markov_closure(f, 64).points))
+    except (BudgetExceeded, NonConvergence):
+        pass
+    for seeds in ((), rng.sample(grid, 2)):
+        closed = image_closure(f, seeds)
+        if closed is not None:
+            sets.append(closed)
+    return sets
+
+
+def random_grid_map(rng):
+    """Self-map of [0, 1] with nodes and values on the 1/8 grid; jumps
+    and plateaus are both common, and closures often stay small."""
+    xs = [F(0)] + sorted(rng.sample([F(i, 8) for i in range(1, 8)],
+                                    rng.randint(0, 5))) + [F(1)]
+    triples = []
+    for i, x in enumerate(xs):
+        yl = None if i == 0 else F(rng.randint(0, 8), 8)
+        yr = None if i == len(xs) - 1 else F(rng.randint(0, 8), 8)
+        if 0 < i < len(xs) - 1 and rng.random() < 0.6:
+            yr = yl
+        triples.append((x, yl, yr))
+    return PwaMap.from_triples(triples)
+
+
+ORACLE_FIXTURES = [fixtures.tent, fixtures.doubling, fixtures.golden,
+                   fixtures.skew_tent, lambda: fixtures.tent_slope(F(3, 2)),
+                   fixtures.trapezoid, fixtures.flat_trapezoid,
+                   fixtures.low_trapezoid, fixtures.identity_map,
+                   fixtures.core_tent32, fixtures.tent75,
+                   fixtures.bimodal_nonmarkov]
+
+
+def test_cells_from_laps_agree_with_the_segment_walk():
+    # is_markov's (ok, reason, witness), its cells, and transition_matrix
+    # (or its PreconditionError message) against the oracle
+    rng = random.Random(1501)
+    maps = [make() for make in ORACLE_FIXTURES]
+    maps += [random_grid_map(rng) for _ in range(300)]
+    reasons = set()
+    for f in maps:
+        for pts in oracle_point_sets(f, rng):
+            ok, reason, witness, cells = oracle_check(f, pts)
+            chk, got_cells = _check_points(f, pts)
+            assert (chk.ok, chk.reason, chk.witness, got_cells) == (
+                ok, reason, witness, cells), (f.nodes, pts)
+            reasons.add(reason.split(" ")[0] if reason else None)
+            if len(pts) > 1 and pts == sorted(set(pts)):
+                boxes = list(zip(pts, pts[1:]))
+                assert outcome(transition_matrix, f, boxes) == outcome(
+                    oracle_transition, f, boxes), (f.nodes, pts)
+    # every check was reached
+    assert reasons == {None, "points", "endpoints", "image", "not", "discontinuity"}
 
 
 def test_matrix_text_round_trip():

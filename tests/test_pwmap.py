@@ -2,6 +2,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_lap_ends_match_iterates, check_orbits_follow_iterates
 from slopeforge import fixtures, pwmap
@@ -108,6 +110,66 @@ def test_eval_interior_and_sides():
         tent.eval(F(0), "left")
     with pytest.raises(PreconditionError):
         tent.eval(2)
+
+
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**6)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def jump_plateau_maps(draw):
+    """A map on a random rational domain whose node values come from a
+    pool of at most three, so plateaus and jumps are both common."""
+    xs = sorted(draw(st.sets(rationals, min_size=2, max_size=8)))
+    values = st.sampled_from(draw(st.lists(
+        st.fractions(min_value=xs[0], max_value=xs[-1], max_denominator=10**6),
+        min_size=1, max_size=3)))
+    triples = []
+    for i, x in enumerate(xs):
+        yl = None if i == 0 else draw(values)
+        if i == len(xs) - 1:
+            yr = None
+        elif i > 0 and draw(st.booleans()):
+            yr = yl
+        else:
+            yr = draw(values)
+        triples.append((x, yl, yr))
+    return PwaMap.from_triples(triples)
+
+
+@PROPERTY
+@given(jump_plateau_maps(),
+       st.lists(st.fractions(min_value=0, max_value=1, max_denominator=1000),
+                max_size=12))
+def test_sides_match_one_sided_eval(f, ts):
+    # every node, both ends and random points between, read in one pass
+    a, b = f.domain
+    xs = sorted({n.x for n in f.nodes} | {a + (b - a) * t for t in ts})
+    got = list(f.sides(xs))
+    assert got == [(None if x == a else f.eval(x, LEFT),
+                    None if x == b else f.eval(x, RIGHT)) for x in xs]
+    assert [i for i, (yl, _) in enumerate(got) if yl is None] == [0]
+    assert [i for i, (_, yr) in enumerate(got) if yr is None] == [len(xs) - 1]
+
+
+@PROPERTY
+@given(jump_plateau_maps(),
+       st.fractions(min_value=0, max_value=10, max_denominator=100).filter(bool),
+       st.booleans())
+def test_sides_rejects_a_point_outside_the_domain(f, d, below):
+    a, b = f.domain
+    x = a - d if below else b + d
+    with pytest.raises(PreconditionError) as want:
+        f.eval(x, RIGHT)
+    with pytest.raises(PreconditionError) as got:
+        list(f.sides(sorted([n.x for n in f.nodes] + [x])))
+    assert str(got.value) == str(want.value) == f"x={x} outside domain [{a}, {b}]"
+
+
+def test_sides_rejects_a_point_behind_the_pointer():
+    with pytest.raises(PreconditionError, match="not sorted"):
+        list(fixtures.tent().sides([F(3, 4), F(1, 4)]))
 
 
 def test_laps_tent_and_doubling():
