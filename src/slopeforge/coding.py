@@ -19,7 +19,7 @@ from fractions import Fraction
 from .entropy import entropy_lapcount
 from .errors import PreconditionError
 from .numeric import format_rational
-from .pwmap import LEFT, RIGHT, PwaMap, lap_end_pullback, laps, preimage_sweep
+from .pwmap import LEFT, RIGHT, PwaMap, lap_end_pullback, laps, locate_leq, preimage_sweep
 
 
 @dataclass(frozen=True)
@@ -90,41 +90,39 @@ class QuotientResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell_codes(f: PwaMap, pts, depth: int, lap_list, lap_los):
+def _cell_codes(f: PwaMap, pts, depth: int, lap_los):
     """Per cell: (code word, degenerate-within-depth flag, image interval).
 
-    Image intervals are tracked exactly through one-sided endpoint
-    values; the open image of a cell sits inside a single lap by
-    construction of the cut set.
+    The code of a cell is its lap followed by the code of the cell of
+    pts that holds the left end of its image from the right.  pts holds
+    every preimage of the lap ends up to depth-1, so that image and the
+    cells it meets share their first depth-1 symbols, and f is read once
+    along pts.  A cell whose image is a point y (a plateau cell) goes on
+    with y's itinerary; reaching one within depth-1 steps is degenerate.
     """
+    ptsf = [float(p) for p in pts]
+    vals = list(f.sides(pts))
+    symbols, images, nexts = [], [], []
+    for p, (_, y0), (y1, _) in zip(pts, vals, vals[1:]):
+        symbols.append(bisect.bisect_right(lap_los, p) - 1)
+        lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
+        images.append((lo, hi))
+        nexts.append(locate_leq(pts, ptsf, lo) if lo < hi else None)
+    rest = {}   # plateau cell -> itinerary of its value, depth-1 symbols
     out = []
-    nlaps = len(lap_list)
-    for i in range(len(pts) - 1):
-        lo, hi = pts[i], pts[i + 1]
-        first_image = None
-        degenerate = False
+    for i, image in enumerate(images):
         word = []
-        for _ in range(depth):
-            if lo == hi:
-                degenerate = True
-                j, ambiguous = _lap_location(lap_list, lap_los, lo)
-                word.append(j)
-                lo = hi = _step_point(f, lo, ambiguous)
-                if first_image is None:
-                    first_image = (lo, hi)
-                continue
-            j = bisect.bisect_right(lap_los, lo) - 1
-            if j < 0:
-                j = 0
-            if lap_list[j].hi <= lo and j + 1 < nlaps:
-                j += 1
-            word.append(j)
-            y0 = f.eval(lo, RIGHT)
-            y1 = f.eval(hi, LEFT)
-            lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
-            if first_image is None:
-                first_image = (lo, hi)
-        out.append((tuple(word), degenerate, first_image))
+        k = i
+        while len(word) < depth - 1 and nexts[k] is not None:
+            word.append(symbols[k])
+            k = nexts[k]
+        word.append(symbols[k])
+        degenerate = len(word) < depth
+        if degenerate:
+            if k not in rest:
+                rest[k] = itinerary(f, images[k][0], depth - 1).word
+            word.extend(rest[k][:depth - len(word)])
+        out.append((tuple(word), degenerate, image))
     return out
 
 
@@ -140,10 +138,9 @@ def psm_reduce(f: PwaMap, depth: int = 16) -> QuotientResult:
             "entropy estimate not positive; quotient degenerates"
         )
     a, b = f.domain
-    lap_list = laps(f)
-    lap_los = [l.lo for l in lap_list]
+    lap_los = [lap.lo for lap in laps(f)]
     pts = lap_end_pullback(f, depth)
-    codes = _cell_codes(f, pts, depth, lap_list, lap_los)
+    codes = _cell_codes(f, pts, depth, lap_los)
     ncells = len(pts) - 1
     flagged = [False] * ncells
     i = 0
@@ -231,17 +228,17 @@ def _factor_map(f: PwaMap, psi0: PwaMap, collapse):
     Breakpoints: the nodes of f, the collapse boundaries, and their
     f-preimages (where the image crosses a kink of psi0).
     """
-    psi_nodes = sorted({n.x for n in psi0.nodes})
+    psi_nodes = [n.x for n in psi0.nodes]
     cuts = {n.x for n in f.nodes} | set(psi_nodes)
     cuts |= preimage_sweep(f, psi_nodes)
     xs = sorted(cuts)
-    groups = {}   # psi0 value -> f's one-sided values at its cuts, in order
+    groups = {}   # increasing psi0 value -> f's one-sided values at its cuts
     for (zl, zr), images in zip(psi0.sides(xs), f.sides(xs)):
         z = zr if zl is None else zl   # psi0 is continuous
         groups.setdefault(z, []).append(images)
     triples = []
-    for z in sorted(groups):
-        yl, yr = groups[z][0][0], groups[z][-1][1]
+    for z, group in groups.items():
+        yl, yr = group[0][0], group[-1][1]
         triples.append((z, None if yl is None else psi0.eval(yl),
                         None if yr is None else psi0.eval(yr)))
     return PwaMap.from_triples(triples)

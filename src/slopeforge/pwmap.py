@@ -457,11 +457,15 @@ def iterate(f: PwaMap, k: int) -> PwaMap:
 
 
 def _germ_step(f: PwaMap, y: Fraction, side: Optional[str]) -> tuple:
-    """Image of a germ under f, by the rules of _outer_limit.
+    """Image of a germ under f.
 
     A germ (y, side) stands for the values of f^k near a point on one
-    side, which tend to y from `side`; side None means they equal y
-    exactly, as after a plateau, and every later step takes value_at.
+    side, which tend to y from `side` (from the inner side at an end of
+    f's domain).  Its image is the limit of f at y from that side.  The
+    side survives an increasing segment and flips on a decreasing one.
+    On a plateau the values equal the plateau's value and the side
+    becomes None: such a germ is the point y itself, and every later
+    step takes value_at (the right value, the left one at b).
     """
     if side is None:
         return f.value_at(y), None

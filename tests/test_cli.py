@@ -342,6 +342,7 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["entropy", "{f}", "--depth", "20000", "--out", "{out}"], 4, "non-convergence"),
     (["approx", "{bimodal}", "--index", "64", "--shadow-depth", "14",
       "--out", "{out}"], 4, "non-convergence"),
+    (["reduce", "{trapezoid}"], 4, "non-convergence"),
     (["verify", "{f}", "{f}", "{psi}", "--tol", "nan"], 2, "parse"),
     (["normalize", "{f}", "--tol", "nan"], 2, "parse"),
     (["phi", "{f}", "--tol", "inf"], 2, "parse"),
@@ -350,7 +351,8 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["no-such-command", "{f}"], 2, "parse"),
 ], ids=["schedule", "points", "normalize_grid", "verify_grid",
         "entropy_depth", "reduce_depth", "entropy_depth_budget",
-        "entropy_count_bits", "approx_shadow_depth_budget", "verify_tol_nan",
+        "entropy_count_bits", "approx_shadow_depth_budget",
+        "reduce_default_depth_budget", "verify_tol_nan",
         "normalize_tol_nan", "phi_tol_inf", "entropy_depth_type",
         "missing_positional", "unknown_command"])
 def test_bad_argument_exit_codes(capsys, skew_file, tmp_path, argv, code, kind):
@@ -358,8 +360,10 @@ def test_bad_argument_exit_codes(capsys, skew_file, tmp_path, argv, code, kind):
     psi.write_text("x\tpsi\tx_exact\n0\t0\t0\n1\t1\t1\n")
     bimodal = tmp_path / "bimodal.pwa"
     bimodal.write_text(serialize_pwa(fixtures.bimodal_nonmarkov()))
-    argv = [a.format(f=skew_file, psi=psi, out=tmp_path / "e.tsv", bimodal=bimodal)
-            for a in argv]
+    trapezoid = tmp_path / "trapezoid.pwa"
+    trapezoid.write_text(serialize_pwa(fixtures.trapezoid()))
+    argv = [a.format(f=skew_file, psi=psi, out=tmp_path / "e.tsv", bimodal=bimodal,
+                     trapezoid=trapezoid) for a in argv]
     start = time.process_time()
     got, summary, out = run(capsys, argv)
     assert time.process_time() - start < 10   # each refusal comes before the work

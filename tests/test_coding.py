@@ -1,11 +1,15 @@
+import bisect
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from slopeforge import fixtures
-from slopeforge.coding import itinerary, psm_reduce
+from conftest import random_grid_map
+from slopeforge import coding, fixtures
+from slopeforge.coding import _lap_location, _step_point, itinerary, psm_reduce
 from slopeforge.entropy import entropy_lapcount
 from slopeforge.errors import PreconditionError
+from slopeforge.pwmap import LEFT, RIGHT, lap_end_pullback, laps
 
 
 def test_itinerary_tent_interior():
@@ -124,3 +128,69 @@ def test_reduce_tsv_export():
     text = q.to_tsv()
     assert text.splitlines()[0] == "lo\thi"
     assert "2/5\t3/5" in text
+
+
+def walk_cell_codes(f, pts, depth):
+    """Oracle of _cell_codes: walk each cell's image `depth` steps
+    through exact one-sided values, and once it is a point, walk that
+    point as itinerary does."""
+    lap_list = laps(f)
+    lap_los = [lap.lo for lap in lap_list]
+    out = []
+    for lo, hi in zip(pts, pts[1:]):
+        first_image = None
+        degenerate = False
+        word = []
+        for _ in range(depth):
+            if lo == hi:
+                degenerate = True
+                j, ambiguous = _lap_location(lap_list, lap_los, lo)
+                word.append(j)
+                lo = hi = _step_point(f, lo, ambiguous)
+                continue
+            word.append(bisect.bisect_right(lap_los, lo) - 1)
+            y0, y1 = f.eval(lo, RIGHT), f.eval(hi, LEFT)
+            lo, hi = min(y0, y1), max(y0, y1)
+            if first_image is None:
+                first_image = (lo, hi)
+        out.append((tuple(word), degenerate, first_image))
+    return out
+
+
+def reduce_outcome(f, depth):
+    try:
+        q = psm_reduce(f, depth)
+    except PreconditionError as exc:
+        return ("error", str(exc))
+    return q, q.to_tsv()
+
+
+CODING_FIXTURES = [fixtures.tent, fixtures.doubling, fixtures.golden,
+                   fixtures.skew_tent, fixtures.trapezoid,
+                   fixtures.flat_trapezoid, fixtures.low_trapezoid,
+                   fixtures.core_tent32, fixtures.bimodal_nonmarkov]
+
+
+def test_cell_codes_match_the_walk(monkeypatch):
+    # word, degenerate flag and first image of every cell, and the whole
+    # psm_reduce result, against the d-step walk; a map's depths stop
+    # where its cut set passes 128 points, to keep the walk cheap
+    rng = random.Random(1601)
+    maps = [make() for make in CODING_FIXTURES]
+    maps += [random_grid_map(rng) for _ in range(300)]
+    degenerate = pairs = 0
+    for f in maps:
+        lap_los = [lap.lo for lap in laps(f)]
+        for depth in range(1, 8):
+            pts = lap_end_pullback(f, depth)
+            if len(pts) > 128:
+                break
+            want = walk_cell_codes(f, pts, depth)
+            assert coding._cell_codes(f, pts, depth, lap_los) == want, (f.nodes, depth)
+            degenerate += sum(d for _, d, _ in want)
+            pairs += 1
+            got = reduce_outcome(f, depth)
+            with monkeypatch.context() as m:
+                m.setattr(coding, "_cell_codes", lambda *args: want)
+                assert got == reduce_outcome(f, depth), (f.nodes, depth)
+    assert degenerate > 0 and pairs > 1900

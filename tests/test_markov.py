@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_grid_map
 from slopeforge import fixtures
 from slopeforge.errors import (
     BudgetExceeded,
@@ -322,21 +323,6 @@ def oracle_point_sets(f, rng):
         if closed is not None:
             sets.append(closed)
     return sets
-
-
-def random_grid_map(rng):
-    """Self-map of [0, 1] with nodes and values on the 1/8 grid; jumps
-    and plateaus are both common, and closures often stay small."""
-    xs = [F(0)] + sorted(rng.sample([F(i, 8) for i in range(1, 8)],
-                                    rng.randint(0, 5))) + [F(1)]
-    triples = []
-    for i, x in enumerate(xs):
-        yl = None if i == 0 else F(rng.randint(0, 8), 8)
-        yr = None if i == len(xs) - 1 else F(rng.randint(0, 8), 8)
-        if 0 < i < len(xs) - 1 and rng.random() < 0.6:
-            yr = yl
-        triples.append((x, yl, yr))
-    return PwaMap.from_triples(triples)
 
 
 ORACLE_FIXTURES = [fixtures.tent, fixtures.doubling, fixtures.golden,

@@ -128,7 +128,8 @@ def test_check_gap_bound_rejects_equal_slopes():
         check_gap_bound(left, right)
 
 
-@pytest.mark.parametrize("eps", [F(1, 16), F(1, 64)], ids=["2^-4", "2^-6"])
+@pytest.mark.parametrize("eps", [F(1, 16), F(1, 64), F(1, 1024)],
+                         ids=["2^-4", "2^-6", "2^-10"])
 def test_normal_form_operator_is_not_continuous(eps):
     # f_eps is within 4 eps of the tent, yet its normal form keeps a
     # slope near 3 and so stays more than 1/8 away from the tent's own
