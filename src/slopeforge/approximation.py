@@ -12,6 +12,7 @@ argument that extracts the limiting semiconjugacy.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -37,8 +38,8 @@ from .pwmap import (
     PwaMap,
     lap_ends,
     locate_leq,
+    merge_sorted,
     orbit_one_sided,
-    sup_dist,
 )
 from .semiconjugacy import ConstantSlopeMap, PsiTable, build_constant_slope, build_psi
 
@@ -65,6 +66,10 @@ def markov_approx(f: PwaMap, n: int,
     grid finer than delta = min(1/(2 n L), 1/(4n)), L the top slope.
     Image values snap down to P; at jump points the snap applies to
     each one-sided limit separately.
+
+    The distance is read off the same pass: at a point of P it is
+    f(p±) - snap(f(p±)), and f and g are read again only at the nodes
+    of f outside P, where g is affine.  With P that is sup_dist(f, g).
     """
     if n < 1:
         raise PreconditionError("approximation index must be >= 1")
@@ -84,9 +89,7 @@ def markov_approx(f: PwaMap, n: int,
     )
     pts = {a, b}
     if shadow_depth >= 1:
-        for _, left, right in lap_ends(f, shadow_depth):
-            pts.update(p for p, _ in left)
-            pts.update(p for p, _ in right)
+        pts |= _shadow_points(f, shadow_depth)
     width = b - a
     grid_n = 1
     while grid_n * delta <= width:  # power-of-two grid: dyadic-friendly
@@ -103,14 +106,41 @@ def markov_approx(f: PwaMap, n: int,
     def snap(y: Optional[Fraction]) -> Optional[Fraction]:
         return None if y is None else P[locate_leq(P, Pf, y)]
 
-    g = PwaMap([Node(p, snap(yl), snap(yr))
-                for p, (yl, yr) in zip(P, f.sides(P))])
-    dist = sup_dist(f, g)
+    nodes = []
+    dist = Fraction(0)
+    for p, (yl, yr) in zip(P, f.sides(P)):
+        zl = snap(yl)
+        # between the nodes of f both sides are one value
+        zr = zl if yr is yl else snap(yr)
+        nodes.append(Node(p, zl, zr))
+        for y, z in ((yl, zl), (yr, zr)):
+            if y is not None and y - z > dist:  # snap(y) <= y
+                dist = y - z
+    g = PwaMap(nodes)
+    off_p = [node.x for node in f.nodes if node.x not in pts]
+    for fx, gx in zip(f.sides(off_p), g.sides(off_p)):
+        for u, w in zip(fx, gx):
+            if u is not None:
+                dist = max(dist, abs(u - w))
     if dist * n >= 1:
         raise VerificationError(
             f"approximation construction missed its bound: dist={dist}"
         )
     return g, ApproxConfig(n, tuple(P), dist)
+
+
+@functools.lru_cache(maxsize=4)
+def _shadow_points(f: PwaMap, depth: int) -> frozenset:
+    """Every point of the lap-end orbits of f^depth to that depth.
+
+    Cached: a schedule asks for the same depth at every step from
+    n = DEFAULT_SHADOW_DEPTH on, and the orbits depend on f alone.
+    """
+    pts = set()
+    for _, left, right in lap_ends(f, depth):
+        pts.update(p for p, _ in left)
+        pts.update(p for p, _ in right)
+    return frozenset(pts)
 
 
 @dataclass(frozen=True)
@@ -178,43 +208,61 @@ class ResidualReport:
     slope_histogram: tuple       # ((|slope|, count), ...) sorted
 
 
-def _grid(f: PwaMap, grid_points: int) -> set:
-    """grid_points + 1 equispaced points of the domain plus every
-    breakpoint of f."""
+def _grid(f: PwaMap, grid_points: int) -> list:
+    """grid_points + 1 equispaced points of the domain and every
+    breakpoint of f, sorted.
+
+    The point a + (b - a) k / grid_points is built as one Fraction from
+    integer numerators over a common denominator.
+    """
     if grid_points < 1:
         raise PreconditionError("the grid needs at least 1 interval")
     a, b = f.domain
     width = b - a
-    return ({n.x for n in f.nodes}
-            | {a + width * Fraction(k, grid_points) for k in range(grid_points + 1)})
+    den = a.denominator * width.denominator * grid_points
+    start = a.numerator * width.denominator * grid_points
+    step = width.numerator * a.denominator
+    grid = [Fraction(start + k * step, den) for k in range(grid_points + 1)]
+    return merge_sorted(grid, [node.x for node in f.nodes])
+
+
+def _snap_to_table(xs, txs) -> list:
+    """The table points that bracket the sorted points xs, sorted and
+    without repeats: for each x the first table point >= x (the last
+    one past the table's end) and the table point before it.
+
+    One forward merge; j is locate_leq's index, the last table point
+    <= x, so a table with repeated points snaps as a lookup would.
+    """
+    out = []
+    last = len(txs) - 1
+    j = -1
+    taken = -1  # the last table index snapped to; it only grows
+    for x in xs:
+        while j < last and txs[j + 1] <= x:
+            j += 1
+        i = min(j if j >= 0 and txs[j] == x else j + 1, last)
+        for k in (i - 1, i):
+            if k > taken:
+                taken = k
+                if not out or out[-1] != txs[k]:
+                    out.append(txs[k])
+    return out
 
 
 def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
                          grid_points: int = DEFAULT_GRID) -> ResidualReport:
     """sup over the grid of |psi(f(x)) - g(psi(x))|, one-sided at jumps.
 
-    The grid is equispaced plus every breakpoint of f (see _grid); a
-    detached table (no structure) snaps it to the table support, so it
-    is evaluated only where it is exact.  f's one-sided values along the
-    sorted grid come from one PwaMap.sides pass.
+    The grid is equispaced plus every breakpoint of f, built sorted (see
+    _grid); a detached table (no structure) snaps it to the table
+    support, so it is evaluated only where it is exact.  f's one-sided
+    values along the sorted grid come from one PwaMap.sides pass.
     """
-    grid = _grid(f, grid_points)
+    xs = _grid(f, grid_points)
     if psi.structure is None:
-        snapped = set()
-        txs = psi.xs
-        txsf = [float(t) for t in txs]
-        for x in grid:
-            i = locate_leq(txs, txsf, x)
-            if i < 0 or txs[i] != x:
-                i += 1  # the first table point >= x
-            if i >= len(txs):
-                i = len(txs) - 1
-            snapped.add(txs[i])
-            if i > 0:
-                snapped.add(txs[i - 1])
-        grid = snapped
+        xs = _snap_to_table(xs, psi.xs)
     continuous = f.is_continuous
-    xs = sorted(grid)
     worst = 0.0
     for x, (yl, yr) in zip(xs, f.sides(xs)):
         zx = float(psi.eval(x, fast=True))
@@ -233,7 +281,7 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
     for seg in g.segments:
         key = round(abs(float(seg.slope)), 9)
         hist[key] = hist.get(key, 0) + 1
-    return ResidualReport(worst, len(grid), tuple(sorted(hist.items())))
+    return ResidualReport(worst, len(xs), tuple(sorted(hist.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +402,7 @@ def normalize(f: PwaMap, target: float = 1e-4,
         raise PreconditionError("entropy estimate not positive")
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
-    grid = sorted(_grid(f, grid_points))
+    grid = _grid(f, grid_points)
     indices, betas, gap_rows = [], [], []
     prev_vals = None
     last = None

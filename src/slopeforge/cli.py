@@ -7,6 +7,11 @@ or exhausted budget, 5 verification failure; every nonzero exit prints
 one `error=<class> message=...` line.  All numeric rendering is fixed
 at numeric.SIG_DIGITS significant digits, so identical inputs produce
 byte-identical artifacts.
+
+Each command imports the modules it runs when it runs, so a process
+pays the import of `flatten`'s graph code or `verify`'s residual check
+and not the whole package.  Options whose default is a library constant
+default to None here and are passed on only when given.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import approximation, coding, graphmap, normalform
-from .entropy import DEFAULT_DEPTH
-from .entropy import entropy as compute_entropy
 from .errors import (
     BudgetExceeded,
     FormatError,
@@ -29,15 +31,8 @@ from .errors import (
     SlopeforgeError,
     VerificationError,
 )
-from .markov import (
-    FIRST_CLOSURE_POINTS,
-    MAX_CLOSURE_POINTS,
-    is_markov,
-    markov_closure,
-)
 from .numeric import format_decimal, format_rational, parse_rational
 from .pwmap import PwaMap, laps, parse_pwa, serialize_pwa
-from .semiconjugacy import psi_from_tsv, psi_to_tsv
 
 # the `error=` class of each exception, most specific first
 ERROR_CLASSES = (
@@ -74,6 +69,12 @@ def _write(path: str, text: str, result: CommandResult) -> None:
     result.artifacts.append(path)
 
 
+def _given(**options) -> dict:
+    """The options given on the command line, as keyword arguments; one
+    left out keeps its library default."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _csv(text: str, parse) -> list:
     """A comma-separated option value, each item through parse."""
     try:
@@ -85,9 +86,10 @@ def _csv(text: str, parse) -> list:
 # -- commands ----------------------------------------------------------------
 
 def cmd_entropy(args) -> CommandResult:
+    from .entropy import entropy
+
     f = _load_map(args.file)
-    rep = compute_entropy(f, depth=args.depth,
-                          markov_points=args.markov_points)
+    rep = entropy(f, **_given(depth=args.depth, markov_points=args.markov_points))
     res = CommandResult()
     res.summary["h_est"] = format_decimal(rep.h_est)
     if rep.spectral is not None:
@@ -102,6 +104,8 @@ def cmd_entropy(args) -> CommandResult:
 
 
 def cmd_markov_check(args) -> CommandResult:
+    from .markov import MAX_CLOSURE_POINTS, is_markov, markov_closure
+
     f = _load_map(args.file)
     res = CommandResult()
     if args.points:
@@ -112,11 +116,12 @@ def cmd_markov_check(args) -> CommandResult:
             res.summary["reason"] = chk.reason
             res.summary["witness"] = repr(chk.witness)
         return res
+    budget = MAX_CLOSURE_POINTS if args.budget is None else args.budget
     try:
-        s = markov_closure(f, max_points=args.budget)
+        s = markov_closure(f, max_points=budget)
     except BudgetExceeded:
         res.summary["markov"] = "false"
-        res.summary["reason"] = f"closure exceeded {args.budget} points"
+        res.summary["reason"] = f"closure exceeded {budget} points"
         return res
     res.summary["markov"] = "true"
     res.summary["points"] = ",".join(format_rational(p) for p in s.points)
@@ -125,12 +130,15 @@ def cmd_markov_check(args) -> CommandResult:
 
 
 def cmd_normalize(args) -> CommandResult:
+    from .approximation import normalize
+    from .semiconjugacy import psi_to_tsv
+
     f = _load_map(args.file)
     schedule = None
     if args.schedule:
         schedule = _csv(args.schedule, int)
-    trace = approximation.normalize(f, target=args.tol, schedule=schedule,
-                                    grid_points=args.grid)
+    trace = normalize(f, target=args.tol, schedule=schedule,
+                      **_given(grid_points=args.grid))
     res = CommandResult()
     psi = trace.final_psi
     res.summary["beta"] = format_decimal(trace.gamma)
@@ -151,9 +159,10 @@ def cmd_normalize(args) -> CommandResult:
 
 
 def cmd_approx(args) -> CommandResult:
+    from .approximation import markov_approx
+
     f = _load_map(args.file)
-    g, cfg = approximation.markov_approx(f, args.index,
-                                         shadow_depth=args.shadow_depth)
+    g, cfg = markov_approx(f, args.index, shadow_depth=args.shadow_depth)
     res = CommandResult()
     res.summary["index"] = str(cfg.n)
     res.summary["distance"] = format_rational(cfg.distance)
@@ -165,10 +174,13 @@ def cmd_approx(args) -> CommandResult:
 
 
 def cmd_verify(args) -> CommandResult:
+    from .approximation import verify_semiconjugacy
+    from .semiconjugacy import psi_from_tsv
+
     f = _load_map(args.f)
     g = _load_map(args.g)
     psi = psi_from_tsv(_read(args.psi))
-    rep = approximation.verify_semiconjugacy(f, g, psi, grid_points=args.grid)
+    rep = verify_semiconjugacy(f, g, psi, **_given(grid_points=args.grid))
     res = CommandResult()
     res.summary["residual"] = format_decimal(rep.residual)
     res.summary["grid"] = str(rep.grid_points)
@@ -179,8 +191,10 @@ def cmd_verify(args) -> CommandResult:
 
 
 def cmd_reduce(args) -> CommandResult:
+    from .coding import psm_reduce
+
     f = _load_map(args.file)
-    q = coding.psm_reduce(f, depth=args.depth)
+    q = psm_reduce(f, **_given(depth=args.depth))
     res = CommandResult()
     res.summary["collapse_count"] = str(len(q.collapse_intervals))
     res.summary["leak_count"] = str(q.leak_plateau_count)
@@ -195,8 +209,11 @@ def cmd_reduce(args) -> CommandResult:
 
 
 def cmd_phi(args) -> CommandResult:
+    from .normalform import normal_form
+    from .semiconjugacy import psi_to_tsv
+
     f = _load_map(args.file)
-    nf = normalform.normal_form(f, target=args.tol)
+    nf = normal_form(f, target=args.tol)
     res = CommandResult()
     res.summary["beta"] = format_decimal(nf.g.slope)
     res.summary["conjugacy"] = "true" if nf.conjugacy else "false"
@@ -223,8 +240,10 @@ def cmd_phi(args) -> CommandResult:
 
 
 def cmd_flatten(args) -> CommandResult:
-    gm = graphmap.parse_graph(_read(args.file))
-    flat, chart = graphmap.flatten(gm)
+    from .graphmap import flatten, parse_graph
+
+    gm = parse_graph(_read(args.file))
+    flat, chart = flatten(gm)
     res = CommandResult()
     a, b = flat.domain
     res.summary["domain"] = f"{format_rational(a)}..{format_rational(b)}"
@@ -284,22 +303,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entropy", help="lap-count and spectral entropy report")
     sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    sp.add_argument("--markov-points", type=int, default=FIRST_CLOSURE_POINTS)
+    sp.add_argument("--depth", type=int)
+    sp.add_argument("--markov-points", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_entropy)
 
     sp = sub.add_parser("markov-check", help="validate or search a Markov point set")
     sp.add_argument("file")
     sp.add_argument("--points", help="comma-separated rationals")
-    sp.add_argument("--budget", type=int, default=MAX_CLOSURE_POINTS)
+    sp.add_argument("--budget", type=int)
     sp.set_defaults(func=cmd_markov_check)
 
     sp = sub.add_parser("normalize", help="semiconjugate to constant slope")
     sp.add_argument("file")
     sp.add_argument("--tol", type=tolerance, default=1e-6)
     sp.add_argument("--schedule", help="comma-separated approximation indices")
-    sp.add_argument("--grid", type=int, default=approximation.DEFAULT_GRID)
+    sp.add_argument("--grid", type=int)
     sp.add_argument("--out")
     sp.add_argument("--psi")
     sp.add_argument("--trace")
@@ -316,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("f")
     sp.add_argument("g")
     sp.add_argument("psi")
-    sp.add_argument("--grid", type=int, default=approximation.DEFAULT_GRID)
+    sp.add_argument("--grid", type=int)
     sp.add_argument("--tol", type=tolerance, default=1e-6)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("reduce", help="collapse equal-code intervals (PM to PSM)")
     sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=16)
+    sp.add_argument("--depth", type=int)
     sp.add_argument("--out")
     sp.add_argument("--psi0")
     sp.add_argument("--collapse")

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .approximation import PipelineTrace, normalize
 from .errors import FormatError, PreconditionError
 from .pwmap import LEFT, RIGHT, Node, PwaMap, parse_node_line, preimage_sweep
-from .semiconjugacy import ConstantSlopeMap, PsiTable
+
+if TYPE_CHECKING:  # flattening alone loads no numeric module
+    from .approximation import PipelineTrace
+    from .semiconjugacy import ConstantSlopeMap, PsiTable
 
 # psi-length at or below which an edge (or a vertex's spread of g
 # values) counts as collapsed
@@ -297,6 +299,8 @@ class GraphNormalForm:
 def normalize_graph(gm: GraphMapSpec, target: float = 1e-6,
                     schedule: Optional[Sequence[int]] = None) -> GraphNormalForm:
     """Run the pipeline on the flattened map and lift the result."""
+    from .approximation import normalize
+
     flat, chart = flatten(gm)
     graph = gm.graph
     E = len(graph.edges)

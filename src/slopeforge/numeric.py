@@ -7,7 +7,9 @@ in mpmath arbitrary-precision floats or, for the large structures
 produced by the approximation pipeline, in ordinary float64.  The
 mantissa width defaults to 128 bits and can be overridden with the
 SLOPEFORGE_PRECISION environment variable (in bits).  mpmath is
-imported on first use, so exact-only callers never load it.
+imported on first use: by mp arithmetic (mp_context, generic_log on an
+mpf) and by format_decimal on a non-integral Fraction or an mpf.  Exact
+and float64 callers never load it, and neither does rendering a float.
 """
 
 from __future__ import annotations
@@ -101,17 +103,21 @@ def rationalize(value, digits: int = 40) -> Fraction:
 
 
 def format_decimal(value) -> str:
-    """Decimal rendering at SIG_DIGITS significant digits (deterministic)."""
+    """Decimal rendering at SIG_DIGITS significant digits (deterministic).
+
+    Floats, integers and integral Fractions render without mpmath; only
+    other Fractions and mpf values load it.
+    """
+    if isinstance(value, float):
+        return f"{value:.{SIG_DIGITS}g}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return str(value.numerator)
     import mpmath
 
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
         value = mpmath.mpf(value.numerator) / value.denominator
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.{SIG_DIGITS}g}"
     return mpmath.nstr(value, SIG_DIGITS, strip_zeros=False)
 
 

@@ -580,6 +580,27 @@ def lap_counts(f: PwaMap, upto: int) -> list:
 # -- metric ---------------------------------------------------------------
 
 
+def merge_sorted(xs, ys) -> list:
+    """The sorted union of two strictly increasing lists.
+
+    Each point of the shorter list goes in by bisection on the longer
+    one, so a few nodes merge into a long grid at O(log n) comparisons
+    each, and the long list is copied in slices.
+    """
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    out = []
+    lo = 0
+    for y in ys:
+        k = bisect.bisect_left(xs, y, lo)
+        out.extend(xs[lo:k])
+        if k == len(xs) or xs[k] != y:
+            out.append(y)
+        lo = k
+    out.extend(xs[lo:])
+    return out
+
+
 def sup_dist(f: PwaMap, g: PwaMap) -> Fraction:
     """Exact sup of |f - g| over the common domain.
 
@@ -588,7 +609,7 @@ def sup_dist(f: PwaMap, g: PwaMap) -> Fraction:
     """
     if f.domain != g.domain:
         raise PreconditionError("sup_dist requires a common domain")
-    xs = sorted(set(f._xs) | set(g._xs))
+    xs = merge_sorted(f._xs, g._xs)
     return max(abs(u - w)
                for fx, gx in zip(f.sides(xs), g.sides(xs))
                for u, w in zip(fx, gx) if u is not None)

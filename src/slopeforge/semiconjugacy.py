@@ -69,6 +69,23 @@ def _is_float(q) -> bool:
     return d & (d - 1) == 0 and d.bit_length() <= 1023 and q.numerator.bit_length() <= 53
 
 
+def _float_cell(ptsf, xf: float) -> int:
+    """The cell i with p_i < x < p_(i+1), when floats show it, or -1.
+
+    ptsf holds fl(p) and xf = fl(x) for the correctly rounded float(),
+    which is monotone: fl(p) < fl(x) implies p < x.  Bisection puts xf
+    below fl(p_(i+1)), so fl(p_i) < xf puts x strictly inside the cell
+    of i, where locate_leq returns i and x is no point.  A start on or
+    next to a point (same float) or outside the points gives -1, and
+    the caller looks x up exactly.  No error bound is needed: unlike the
+    orbit steps of the descent, x and the points are rounded once each.
+    """
+    i = bisect.bisect_right(ptsf, xf) - 1
+    if 0 <= i < len(ptsf) - 1 and ptsf[i] < xf:
+        return i
+    return -1
+
+
 def _split_high(a: float) -> float:
     """High half of Veltkamp's split of a; a minus it is the low half."""
     c = SPLITTER * a
@@ -141,7 +158,8 @@ class PsiTable:
         (loaded from TSV) fall back to monotone interpolation between
         table entries.
         """
-        x = Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         if self.structure is not None:
             if fast:
                 y = self._descend_float(x)
@@ -156,9 +174,11 @@ class PsiTable:
 
     def _table_interp(self, x: Fraction, ys):
         txs = self.xs
-        i = locate_leq(txs, self._txsf, x)
-        if txs[i] == x:
-            return ys[i]
+        i = _float_cell(self._txsf, float(x))
+        if i < 0:
+            i = locate_leq(txs, self._txsf, x)
+            if txs[i] == x:
+                return ys[i]
         x0, x1 = txs[i], txs[i + 1]
         return ys[i] + (ys[i + 1] - ys[i]) * float((x - x0) / (x1 - x0))
 
@@ -238,7 +258,10 @@ class PsiTable:
         point p (stored as p = fl(p)) as the exact orbit when
         |z - p| > e + 32u (|z| + |p|).  This filter separates each
         segment lookup, partition cell lookup and table-tail cell lookup
-        from both neighbours, so the index is the exact walk's.
+        from both neighbours, so the index is the exact walk's.  The
+        first cell, that of x itself, is read off the order of the floats
+        (_float_cell); x on or next to a partition point takes the exact
+        lookup, and the partition points' ends return at once.
 
         Next to e the walk keeps an exactness flag: the float orbit is
         the exact orbit.  It starts true when x is a float64 (a
@@ -272,13 +295,16 @@ class PsiTable:
         pts = self._pts
         ptsf = self._ptsf
         V = self._Vf
-        if x <= pts[0]:
-            return V[0]
-        if x >= pts[-1]:
-            return V[-1]
-        i = locate_leq(pts, ptsf, x)
-        if pts[i] == x:
-            return V[i]
+        xf = float(x)
+        i = _float_cell(ptsf, xf)
+        if i < 0:  # x on, next to or outside the partition points
+            if x <= pts[0]:
+                return V[0]
+            if x >= pts[-1]:
+                return V[-1]
+            i = locate_leq(pts, ptsf, x)
+            if pts[i] == x:
+                return V[i]
         covers = self.structure.covers
         dirs = self.structure.directions
         seg_xf, seg_yf, seg_sf, seg_sh = self._seg_xf, self._seg_yf, self._seg_sf, self._seg_sh
@@ -289,7 +315,6 @@ class PsiTable:
         beta = float(self.beta)
         tail = beta ** (-self.depth)
         tgap = self._tgap
-        xf = float(x)
         err = eps * abs(xf) + tiny
         exact = self._exact_map and _is_float(x)
         filtered = True  # every lookup so far passed the filter

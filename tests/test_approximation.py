@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import random_grid_map
 
-from slopeforge import fixtures
+from slopeforge import approximation, fixtures
 from slopeforge.approximation import (
     PIPELINE_TABLE_POINTS,
     check_monotone_shadowing,
@@ -10,7 +12,7 @@ from slopeforge.approximation import (
     normalize,
     verify_semiconjugacy,
 )
-from slopeforge.errors import PreconditionError
+from slopeforge.errors import PreconditionError, VerificationError
 from slopeforge.markov import is_markov, structure_from_points
 from slopeforge.pwmap import LEFT, RIGHT, PwaMap, iterate, laps, sup_dist
 from slopeforge.semiconjugacy import build_constant_slope, build_psi
@@ -41,6 +43,63 @@ def test_approx_slope32_bound_and_markov():
 def test_approx_rejects_plateau():
     with pytest.raises(PreconditionError):
         markov_approx(fixtures.trapezoid(), 4)
+
+
+def _off_grid_map(rng):
+    """Continuous map of [a, b] with nodes at multiples of (b - a)/21,
+    so most nodes that are no lap end stay outside P; no plateau."""
+    a = F(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+    b = a + F(rng.randint(1, 5), rng.choice((1, 3)))
+    xs = sorted({a, b} | {a + (b - a) * F(rng.randint(1, 20), 21)
+                          for _ in range(rng.randint(1, 5))})
+    ys = [a + (b - a) * F(rng.randint(0, 16), 16) for _ in xs]
+    for i in range(1, len(ys)):
+        if ys[i] == ys[i - 1]:
+            ys[i] = b if ys[i] == a else a
+    return PwaMap.from_pairs(list(zip(xs, ys)))
+
+
+def test_approx_distance_is_the_sup_distance():
+    # read off the snap pass, and off f only at its nodes outside P, the
+    # distance is sup_dist(f, g) exactly
+    rng = random.Random(8)
+    maps = [fixtures.tent(), fixtures.golden(), fixtures.tent_slope(F(3, 2)),
+            fixtures.tent75(), fixtures.bimodal_nonmarkov(), fixtures.core_tent32(),
+            fixtures.doubling(), REFERENCE_MAPS["beta_map"]()]
+    maps += [f for f in (random_grid_map(rng) for _ in range(100)) if not f.has_plateau]
+    maps += [f for f in (_off_grid_map(rng) for _ in range(100)) if not f.has_plateau]
+    off_p = 0
+    for f in maps:
+        for n in (1, 2, 3, 8):
+            g, cfg = markov_approx(f, n, shadow_depth=min(n, 3))
+            assert cfg.distance == sup_dist(f, g), (f.nodes, n)
+            assert type(cfg.distance) is F and cfg.distance * n < 1
+            points = set(cfg.points)
+            off_p += any(node.x not in points for node in f.nodes)
+    assert off_p > 50  # the second read of f is exercised
+
+
+def test_approx_bound_check_still_raises(monkeypatch):
+    # a snap of every value to a puts g at distance 1 from the tent
+    monkeypatch.setattr(approximation, "locate_leq", lambda pts, ptsf, y: 0)
+    with pytest.raises(VerificationError, match="missed its bound"):
+        markov_approx(fixtures.tent(), 4)
+
+
+def test_schedule_walks_lap_end_orbits_once_per_depth(monkeypatch):
+    depths = []
+    walk = approximation.lap_ends
+
+    def counted(f, k):
+        depths.append(k)
+        return walk(f, k)
+
+    monkeypatch.setattr(approximation, "lap_ends", counted)
+    approximation._shadow_points.cache_clear()
+    tr = normalize(fixtures.tent_slope(F(3, 2)), target=1e-12,
+                   schedule=[2, 4, 8, 16, 32], grid_points=64)
+    assert tr.indices == (2, 4, 8, 16, 32)
+    assert depths == [2, 4, 8]  # shadow depth min(n, 8)
 
 
 def test_monotone_shadowing_small():

@@ -108,6 +108,17 @@ def test_markov_check(capsys, tent_file):
     assert code == 0 and summary["markov"] == ["false"]
 
 
+def test_left_out_budget_is_the_library_default(capsys, tmp_path):
+    from slopeforge.markov import MAX_CLOSURE_POINTS
+
+    p = tmp_path / "t32.pwa"
+    p.write_text(serialize_pwa(fixtures.tent_slope(F(3, 2))))
+    for extra, budget in (([], MAX_CLOSURE_POINTS), (["--budget", "8"], 8)):
+        code, summary, _ = run(capsys, ["markov-check", str(p), *extra])
+        assert code == 0 and summary["markov"] == ["false"]
+        assert summary["reason"] == [f"closure exceeded {budget} points"]
+
+
 def test_normalize_skew_writes_bundle(capsys, skew_file, tmp_path):
     g_out = str(tmp_path / "g.pwa")
     psi_out = str(tmp_path / "psi.tsv")
