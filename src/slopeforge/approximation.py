@@ -87,20 +87,19 @@ def markov_approx(f: PwaMap, n: int,
         Fraction(1, 2 * n) / top_slope if top_slope > 1 else Fraction(1, 2 * n),
         Fraction(1, 4 * n),
     )
-    pts = {a, b}
-    if shadow_depth >= 1:
-        pts |= _shadow_points(f, shadow_depth)
     width = b - a
     grid_n = 1
     while grid_n * delta <= width:  # power-of-two grid: dyadic-friendly
         grid_n *= 2
-    for k in range(grid_n + 1):
-        pts.add(a + width * Fraction(k, grid_n))
-    if len(pts) > MAX_APPROX_POINTS:
-        raise PreconditionError(
-            f"approximation needs {len(pts)} points (> {MAX_APPROX_POINTS})"
-        )
-    P = sorted(pts)
+    # P is the grid and the shadow points off it, counted before the
+    # grid is built: p is on it iff (p - a) grid_n / (b - a) is an integer
+    shadow = _shadow_points(f, shadow_depth) if shadow_depth >= 1 else ()
+    per_width = grid_n / width
+    off_grid = [p for p in shadow if ((p - a) * per_width).denominator != 1]
+    count = grid_n + 1 + len(off_grid)
+    if count > MAX_APPROX_POINTS:
+        raise PreconditionError(f"approximation needs {count} points (> {MAX_APPROX_POINTS})")
+    P = sorted(_equispaced(a, b, grid_n) + off_grid)  # the grid is one sorted run
     Pf = [float(p) for p in P]
 
     def snap(y: Optional[Fraction]) -> Optional[Fraction]:
@@ -117,7 +116,7 @@ def markov_approx(f: PwaMap, n: int,
             if y is not None and y - z > dist:  # snap(y) <= y
                 dist = y - z
     g = PwaMap(nodes)
-    off_p = [node.x for node in f.nodes if node.x not in pts]
+    off_p = [node.x for node in f.nodes if P[locate_leq(P, Pf, node.x)] != node.x]
     for fx, gx in zip(f.sides(off_p), g.sides(off_p)):
         for u, w in zip(fx, gx):
             if u is not None:
@@ -208,22 +207,23 @@ class ResidualReport:
     slope_histogram: tuple       # ((|slope|, count), ...) sorted
 
 
+def _equispaced(a: Fraction, b: Fraction, n: int) -> list:
+    """The n + 1 points a + (b - a) k / n, each built as one Fraction
+    from integer numerators over a common denominator."""
+    width = b - a
+    den = a.denominator * width.denominator * n
+    start = a.numerator * width.denominator * n
+    step = width.numerator * a.denominator
+    return [Fraction(start + k * step, den) for k in range(n + 1)]
+
+
 def _grid(f: PwaMap, grid_points: int) -> list:
     """grid_points + 1 equispaced points of the domain and every
-    breakpoint of f, sorted.
-
-    The point a + (b - a) k / grid_points is built as one Fraction from
-    integer numerators over a common denominator.
-    """
+    breakpoint of f, sorted."""
     if grid_points < 1:
         raise PreconditionError("the grid needs at least 1 interval")
     a, b = f.domain
-    width = b - a
-    den = a.denominator * width.denominator * grid_points
-    start = a.numerator * width.denominator * grid_points
-    step = width.numerator * a.denominator
-    grid = [Fraction(start + k * step, den) for k in range(grid_points + 1)]
-    return merge_sorted(grid, [node.x for node in f.nodes])
+    return merge_sorted(_equispaced(a, b, grid_points), [node.x for node in f.nodes])
 
 
 def _snap_to_table(xs, txs) -> list:

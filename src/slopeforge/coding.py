@@ -49,9 +49,13 @@ def _step_point(f: PwaMap, p: Fraction, ambiguous: bool) -> Fraction:
 def itinerary(f: PwaMap, x, n: int) -> Itinerary:
     """Code the first n orbit positions of x by lap membership.
 
-    Ambiguous positions resolve to the left lap and the orbit continues
-    with the left limit there, so the word is the limit of the words of
-    nearby points approaching from the left.
+    Every ambiguous position (a lap end shared by two laps) takes the
+    left lap, and the orbit continues with the left limit of f there.
+    This is a convention per position, not the limit of the words of
+    points approaching x from the left: past a decreasing lap those
+    points approach the orbit from the right.  On the tent,
+    itinerary(3/4, 3) is (1, 0, 1), while 3/4 - 2^-k codes as (1, 1, 1).
+    psm_reduce codes its plateau cells by this convention.
     """
     a, b = f.domain
     p = Fraction(x)

@@ -37,16 +37,20 @@ MAX_PULLBACK_STEPS = 500_000  # points × depth of one lap_end_pullback
 def locate_leq(pts, pts_float, x: Fraction) -> int:
     """Largest index j with pts[j] <= x, or -1.
 
-    Bisects a float shadow of the sorted Fraction array (C-speed) and
-    corrects the landing exactly; avoids O(log n) Fraction comparisons
-    per lookup, which dominate profiles otherwise.
+    Read off the float shadow pts_float of the sorted array at C speed.
+    float() of a Fraction is correctly rounded, hence monotone, so
+    fl(p) < fl(x) proves p < x.  Bisection gives fl(x) < fl(p_(j+1)),
+    proving x < p_(j+1), and fl(p_j) < fl(x) proves the answer is j.
+    Only points that share the float of x are compared exactly, scanning
+    back from j, so a start the floats separate costs no Fraction work.
     """
-    j = bisect.bisect_right(pts_float, float(x)) - 1
-    n = len(pts)
-    while j >= 0 and pts[j] > x:
+    try:
+        xf = float(x)
+    except OverflowError:  # an infinity keeps the rounding monotone
+        xf = float("inf") if x > 0 else float("-inf")
+    j = bisect.bisect_right(pts_float, xf) - 1
+    while j >= 0 and pts_float[j] == xf and pts[j] > x:
         j -= 1
-    while j + 1 < n and pts[j + 1] <= x:
-        j += 1
     return j
 
 
@@ -125,7 +129,10 @@ class PwaMap:
         object.__setattr__(self, "selfmap", selfmap)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_xsf", [float(x) for x in xs])
+        try:  # the float shadow that locate_leq trusts must be finite
+            object.__setattr__(self, "_xsf", [float(x) for x in xs])
+        except OverflowError:
+            raise FormatError("a node x lies beyond the float64 range") from None
         segs = []
         for i in range(len(nodes) - 1):
             x0, x1 = nodes[i].x, nodes[i + 1].x
@@ -194,25 +201,29 @@ class PwaMap:
     def has_plateau(self) -> bool:
         return any(s.slope == 0 for s in self._segments)
 
-    def node_index(self, x: Fraction) -> int:
-        """Index of the node at x, or -1 when x is not a node."""
-        i = locate_leq(self._xs, self._xsf, x)
-        if i >= 0 and self._xs[i] == x:
-            return i
-        return -1
+    def _locate(self, x: Fraction) -> tuple:
+        """(i, hit): x is node i (hit) or inside segment i.  Outside the
+        domain locate_leq gives -1, or the last index without a hit."""
+        xs = self._xs
+        i = locate_leq(xs, self._xsf, x)
+        hit = i >= 0 and xs[i] == x
+        if not hit and not 0 <= i < len(xs) - 1:
+            a, b = self.domain
+            raise PreconditionError(f"x={x} outside domain [{a}, {b}]")
+        return i, hit
 
     def segment_index(self, x: Fraction, side: str) -> int:
         """Segment adjacent to x on the given side."""
-        a, b = self.domain
-        j = locate_leq(self._xs, self._xsf, x)
+        xs = self._xs
+        j = locate_leq(xs, self._xsf, x)
         if side == RIGHT:
-            if x >= b:
+            if j == len(xs) - 1:  # x >= b
                 raise PreconditionError(f"no right side at x={x}")
             return j
-        if x <= a:
+        if j >= 0 and xs[j] == x:
+            j -= 1
+        if j < 0:  # x <= a
             raise PreconditionError(f"no left side at x={x}")
-        if self._xs[j] == x:
-            return j - 1
         return j
 
     def eval(self, x: Fraction, side: Optional[str] = None) -> Fraction:
@@ -222,32 +233,24 @@ class PwaMap:
         a segment, or a node with matching one-sided values).
         """
         x = Fraction(x)
-        a, b = self.domain
-        if not (a <= x <= b):
-            raise PreconditionError(f"x={x} outside domain [{a}, {b}]")
-        i = self.node_index(x)
-        if side is None:
-            if i >= 0:
-                n = self.nodes[i]
-                if n.y_left is None:
-                    return n.y_right
-                if n.y_right is None or n.y_left == n.y_right:
-                    return n.y_left
-                raise PreconditionError(
-                    f"map is two-valued at x={x}; pass side='left' or 'right'"
-                )
-            seg = self._segments[self.segment_index(x, RIGHT)]
-            return seg.value(x)
-        if side not in (LEFT, RIGHT):
+        i, hit = self._locate(x)
+        if side not in (None, LEFT, RIGHT):
             raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-        if i >= 0:
-            n = self.nodes[i]
-            y = n.y_left if side == LEFT else n.y_right
-            if y is None:
-                raise PreconditionError(f"side {side!r} undefined at endpoint x={x}")
-            return y
-        seg = self._segments[self.segment_index(x, side)]
-        return seg.value(x)
+        if not hit:
+            return self._segments[i].value(x)
+        n = self.nodes[i]
+        if side is None:
+            if n.y_left is None:
+                return n.y_right
+            if n.y_right is None or n.y_left == n.y_right:
+                return n.y_left
+            raise PreconditionError(
+                f"map is two-valued at x={x}; pass side='left' or 'right'"
+            )
+        y = n.y_left if side == LEFT else n.y_right
+        if y is None:
+            raise PreconditionError(f"side {side!r} undefined at endpoint x={x}")
+        return y
 
     def sides(self, xs) -> Iterator[tuple]:
         """Yield (f(x-), f(x+)) for each x of xs, sorted within the domain.
@@ -258,21 +261,21 @@ class PwaMap:
         kept, so a long grid costs no memory.
         """
         nodes, segs = self.nodes, self._segments
-        a, b = self.domain
         last = len(nodes) - 1
         k = 0  # nodes[k].x <= x < nodes[k + 1].x, or x is the last node
         for x in xs:
-            if not a <= x <= b:
-                raise PreconditionError(f"x={x} outside domain [{a}, {b}]")
             while k < last and nodes[k + 1].x <= x:
                 k += 1
             node = nodes[k]
             if node.x == x:
                 yield node.y_left, node.y_right
-            elif node.x < x:
+            elif node.x < x and k < last:
                 y = segs[k].value(x)
                 yield y, y
-            else:
+            else:  # x beyond b, before a, or before an earlier point
+                a, b = self.domain
+                if not a <= x <= b:
+                    raise PreconditionError(f"x={x} outside domain [{a}, {b}]")
                 raise PreconditionError(f"points not sorted at x={x}")
 
     def eval_float(self, z: float, side: str) -> float:
@@ -305,11 +308,11 @@ class PwaMap:
 
     def value_at(self, x: Fraction) -> Fraction:
         """Single-valued convention: right limit, left at the right endpoint."""
-        i = self.node_index(x)
-        if i >= 0:
-            n = self.nodes[i]
-            return n.y_right if n.y_right is not None else n.y_left
-        return self.eval(x)
+        i, hit = self._locate(x)
+        if not hit:
+            return self._segments[i].value(x)
+        n = self.nodes[i]
+        return n.y_right if n.y_right is not None else n.y_left
 
     def slope_side(self, x: Fraction, side: str) -> Fraction:
         return self._segments[self.segment_index(x, side)].slope

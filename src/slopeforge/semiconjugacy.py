@@ -69,23 +69,6 @@ def _is_float(q) -> bool:
     return d & (d - 1) == 0 and d.bit_length() <= 1023 and q.numerator.bit_length() <= 53
 
 
-def _float_cell(ptsf, xf: float) -> int:
-    """The cell i with p_i < x < p_(i+1), when floats show it, or -1.
-
-    ptsf holds fl(p) and xf = fl(x) for the correctly rounded float(),
-    which is monotone: fl(p) < fl(x) implies p < x.  Bisection puts xf
-    below fl(p_(i+1)), so fl(p_i) < xf puts x strictly inside the cell
-    of i, where locate_leq returns i and x is no point.  A start on or
-    next to a point (same float) or outside the points gives -1, and
-    the caller looks x up exactly.  No error bound is needed: unlike the
-    orbit steps of the descent, x and the points are rounded once each.
-    """
-    i = bisect.bisect_right(ptsf, xf) - 1
-    if 0 <= i < len(ptsf) - 1 and ptsf[i] < xf:
-        return i
-    return -1
-
-
 def _split_high(a: float) -> float:
     """High half of Veltkamp's split of a; a minus it is the low half."""
     c = SPLITTER * a
@@ -115,8 +98,10 @@ class PsiTable:
         ys = self.ys
         object.__setattr__(self, "_tgap", max(
             (float(ys[i + 1] - ys[i]) for i in range(len(ys) - 1)), default=0.0))
-        # float shadow of the table's points, for locate_leq
-        object.__setattr__(self, "_txsf", [float(x) for x in self.xs])
+        try:  # the float shadow of the table's points, for locate_leq
+            object.__setattr__(self, "_txsf", [float(x) for x in self.xs])
+        except OverflowError:
+            raise FormatError("a psi table x lies beyond the float64 range") from None
         if self.structure is not None:
             s = self.structure
             V = s.prefix_sums()
@@ -168,19 +153,28 @@ class PsiTable:
                 return y
             one = self._V[-1] / self._V[-1]
             return self._descend(x, self._V, self.beta, one)
-        if not self.xs[0] <= x <= self.xs[-1]:
-            raise PreconditionError(f"x={x} outside the psi table domain")
         return self._table_interp(x, self.ys)
 
     def _table_interp(self, x: Fraction, ys):
-        txs = self.xs
-        i = _float_cell(self._txsf, float(x))
-        if i < 0:
-            i = locate_leq(txs, self._txsf, x)
-            if txs[i] == x:
-                return ys[i]
+        """ys at a table point, else interpolated in the cell of x; the
+        lookup index is the domain test, as in PwaMap._locate."""
+        txs, txsf = self.xs, self._txsf
+        i = locate_leq(txs, txsf, x)
+        if i >= 0 and txsf[i] == float(x) and txs[i] == x:
+            return ys[i]
+        if not 0 <= i < len(txs) - 1:
+            raise PreconditionError(f"x={x} outside the psi table domain")
         x0, x1 = txs[i], txs[i + 1]
         return ys[i] + (ys[i + 1] - ys[i]) * float((x - x0) / (x1 - x0))
+
+    def _start_cell(self, x: Fraction, xf: float) -> tuple:
+        """(i, on) for the start x of a descent, xf = float(x): psi(x) = V[i]
+        if on (x is point i or beyond that end), else p_i < x < p_(i+1)."""
+        pts, ptsf = self._pts, self._ptsf
+        i = locate_leq(pts, ptsf, x)
+        if i < 0:
+            return 0, True
+        return i, i == len(pts) - 1 or (ptsf[i] == xf and pts[i] == x)
 
     def _descend(self, x: Fraction, V, beta, scale):
         """Exact orbit descent with an interpolated tail.
@@ -201,12 +195,8 @@ class PsiTable:
         tys = self._tys_f if isinstance(scale, float) else self._tys
         tail = float(self.beta) ** (-self.depth)
         tgap = self._tgap
-        if x <= pts[0]:
-            return V[0]
-        if x >= pts[-1]:
-            return V[-1]
-        i = locate_leq(pts, ptsf, x)
-        if pts[i] == x:
+        i, on = self._start_cell(x, float(x))
+        if on:
             return V[i]
         acc = V[i]
         rel_left = True
@@ -259,9 +249,9 @@ class PsiTable:
         |z - p| > e + 32u (|z| + |p|).  This filter separates each
         segment lookup, partition cell lookup and table-tail cell lookup
         from both neighbours, so the index is the exact walk's.  The
-        first cell, that of x itself, is read off the order of the floats
-        (_float_cell); x on or next to a partition point takes the exact
-        lookup, and the partition points' ends return at once.
+        first cell, that of x itself, is locate_leq's, as in the exact
+        walk, and x on a partition point or beyond its ends returns at
+        once.
 
         Next to e the walk keeps an exactness flag: the float orbit is
         the exact orbit.  It starts true when x is a float64 (a
@@ -292,19 +282,12 @@ class PsiTable:
         exact walk.
         """
         bisect_right = bisect.bisect_right
-        pts = self._pts
         ptsf = self._ptsf
         V = self._Vf
         xf = float(x)
-        i = _float_cell(ptsf, xf)
-        if i < 0:  # x on, next to or outside the partition points
-            if x <= pts[0]:
-                return V[0]
-            if x >= pts[-1]:
-                return V[-1]
-            i = locate_leq(pts, ptsf, x)
-            if pts[i] == x:
-                return V[i]
+        i, on = self._start_cell(x, xf)
+        if on:
+            return V[i]
         covers = self.structure.covers
         dirs = self.structure.directions
         seg_xf, seg_yf, seg_sf, seg_sh = self._seg_xf, self._seg_yf, self._seg_sf, self._seg_sh

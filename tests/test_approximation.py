@@ -79,6 +79,39 @@ def test_approx_distance_is_the_sup_distance():
     assert off_p > 50  # the second read of f is exercised
 
 
+def _set_union_points(f, n, shadow_depth):
+    """P as it was built: a set of the shadow points and the grid, sorted."""
+    a, b = f.domain
+    top = max(abs(seg.slope) for seg in f.segments)
+    delta = min(F(1, 2 * n) / top if top > 1 else F(1, 2 * n), F(1, 4 * n))
+    grid_n = 1
+    while grid_n * delta <= b - a:
+        grid_n *= 2
+    pts = {a, b} | {a + (b - a) * F(k, grid_n) for k in range(grid_n + 1)}
+    if shadow_depth >= 1:
+        pts |= approximation._shadow_points(f, shadow_depth)
+    return tuple(sorted(pts))
+
+
+def test_approx_counts_its_points_before_it_builds_them(monkeypatch):
+    # the refusal names the size of the point set it would have built
+    rng = random.Random(12)
+    maps = [fixtures.tent(), fixtures.bimodal_nonmarkov(), fixtures.tent_slope(F(3, 2)),
+            fixtures.doubling(), REFERENCE_MAPS["beta_map"]()]
+    maps += [f for f in (_off_grid_map(rng) for _ in range(30)) if not f.has_plateau]
+    for f in maps:
+        for n, depth in ((1, 1), (3, 2), (16, 4)):
+            _, cfg = markov_approx(f, n, shadow_depth=depth)
+            assert cfg.points == _set_union_points(f, n, min(depth, n)), (f.nodes, n)
+            want = len(cfg.points)
+            with monkeypatch.context() as m:
+                m.setattr(approximation, "MAX_APPROX_POINTS", want - 1)
+                with pytest.raises(PreconditionError, match=f"needs {want} points "):
+                    markov_approx(f, n, shadow_depth=depth)
+                m.setattr(approximation, "MAX_APPROX_POINTS", want)
+                markov_approx(f, n, shadow_depth=depth)
+
+
 def test_approx_bound_check_still_raises(monkeypatch):
     # a snap of every value to a puts g at distance 1 from the tent
     monkeypatch.setattr(approximation, "locate_leq", lambda pts, ptsf, y: 0)

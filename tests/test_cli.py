@@ -99,6 +99,37 @@ def test_normalize_huge_exponent_is_a_parse_error(capsys, tmp_path):
     assert summary["error"][0].startswith("parse")
 
 
+BEYOND_FLOAT64 = str(10**400)
+
+
+def test_pwa_coordinate_beyond_float64_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "huge.pwa"
+    p.write_text(f"pwa 1\ndomain 0 {BEYOND_FLOAT64}\nnodes 2\n0 - 0\n"
+                 f"{BEYOND_FLOAT64} {BEYOND_FLOAT64} -\n")
+    code, summary, out = run(capsys, ["entropy", str(p)])
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert summary["error"][0].startswith("parse")
+
+
+def test_underflowing_coordinates_stay_valid(capsys, tmp_path):
+    # 1e-400 shares the float 0.0 with the node 0; the exact scan of
+    # locate_leq tells them apart
+    p = tmp_path / "tiny.pwa"
+    p.write_text("pwa 1\ndomain 0 1\nnodes 4\n0 - 0\n1e-400 2e-400 2e-400\n"
+                 "1/2 1 1\n1 0 -\n")
+    f = parse_pwa(p.read_text())
+    assert float(f.nodes[1].x) == 0.0
+    assert f.eval(F(1, 10**400)) == F(2, 10**400)
+    assert f.eval(F(1, 10**401)) == F(2, 10**401)
+    code, summary, _ = run(capsys, ["entropy", str(p), "--depth", "12"])
+    assert code == 0
+    tent = tmp_path / "tent.pwa"
+    tent.write_text(serialize_pwa(fixtures.tent()))
+    _, want, _ = run(capsys, ["entropy", str(tent), "--depth", "12"])
+    assert summary == want
+
+
 def test_markov_check(capsys, tent_file):
     code, summary, _ = run(capsys, ["markov-check", tent_file,
                                     "--points", "0,1/2,1"])
@@ -319,7 +350,8 @@ def test_determinism(capsys, skew_file, tmp_path):
     ("0 - 0\n", "0 0\n"),              # a chart node line of 2 tokens
     ("nodes e 2\n", "nodes\n"),        # a bare nodes line
     ("1 2 -\n", "1 2x -\n"),           # a node value that is no rational
-], ids=["two_tokens", "bare_nodes", "bad_value"])
+    ("1 2 -\n", f"{BEYOND_FLOAT64} 2 -\n"),  # a node x beyond the float range
+], ids=["two_tokens", "bare_nodes", "bad_value", "x_beyond_float64"])
 def test_flatten_malformed_chart_is_a_parse_error(capsys, tmp_path, old, new):
     p = tmp_path / "circle.txt"
     p.write_text(fixtures.CIRCLE_DOUBLING.replace(old, new))
@@ -330,12 +362,13 @@ def test_flatten_malformed_chart_is_a_parse_error(capsys, tmp_path, old, new):
 
 
 @pytest.mark.parametrize("row", ["0.5\tabc\t1/2", "0.5\t0.5\t1/0",
-                                 "0.5\tnan\t1/2"],
-                         ids=["bad_psi", "bad_x_exact", "nan_psi"])
+                                 "0.5\tnan\t1/2", f"2\t1\t{BEYOND_FLOAT64}"],
+                         ids=["bad_psi", "bad_x_exact", "nan_psi", "x_exact_beyond_float64"])
 def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
                                                    tmp_path, row):
+    # the last row: a row beyond the float range is still sorted there
     psi = tmp_path / "psi.tsv"
-    psi.write_text(f"x\tpsi\tx_exact\n0\t0\t0\n{row}\n1\t1\t1\n")
+    psi.write_text(f"x\tpsi\tx_exact\n0\t0\t0\n1\t1\t1\n{row}\n")
     code, summary, out = run(capsys, ["verify", tent_file, tent_file, str(psi)])
     assert code == 2
     assert len(out.splitlines()) == 1
@@ -354,6 +387,7 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["approx", "{bimodal}", "--index", "64", "--shadow-depth", "14",
       "--out", "{out}"], 4, "non-convergence"),
     (["reduce", "{trapezoid}"], 4, "non-convergence"),
+    (["approx", "{f}", "--index", "800000"], 3, "precondition"),
     (["verify", "{f}", "{f}", "{psi}", "--tol", "nan"], 2, "parse"),
     (["normalize", "{f}", "--tol", "nan"], 2, "parse"),
     (["phi", "{f}", "--tol", "inf"], 2, "parse"),
@@ -363,7 +397,7 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
 ], ids=["schedule", "points", "normalize_grid", "verify_grid",
         "entropy_depth", "reduce_depth", "entropy_depth_budget",
         "entropy_count_bits", "approx_shadow_depth_budget",
-        "reduce_default_depth_budget", "verify_tol_nan",
+        "reduce_default_depth_budget", "approx_index_points", "verify_tol_nan",
         "normalize_tol_nan", "phi_tol_inf", "entropy_depth_type",
         "missing_positional", "unknown_command"])
 def test_bad_argument_exit_codes(capsys, skew_file, tmp_path, argv, code, kind):

@@ -24,6 +24,16 @@ def test_itinerary_tent_turning_point():
     assert it.word[0] == 0  # left-lap convention
 
 
+def test_itinerary_is_no_left_limit_past_a_decreasing_lap():
+    # 3/4 maps onto the turning point 1/2, which takes the left lap; points
+    # just left of 3/4 map just right of 1/2, into the right lap
+    tent = fixtures.tent()
+    it = itinerary(tent, F(3, 4), 3)
+    assert it.word == (1, 0, 1) and it.ambiguous_at == (1,)
+    for k in (10, 40):
+        assert itinerary(tent, F(3, 4) - F(1, 2**k), 3).word == (1, 1, 1)
+
+
 def test_itinerary_golden_endpoint_orbit():
     it = itinerary(fixtures.golden(), 0, 3)
     # orbit 0 -> 1/2 -> 1 under the left-limit continuation

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction as F
 
@@ -170,6 +171,87 @@ def test_sides_rejects_a_point_outside_the_domain(f, d, below):
 def test_sides_rejects_a_point_behind_the_pointer():
     with pytest.raises(PreconditionError, match="not sorted"):
         list(fixtures.tent().sides([F(3, 4), F(1, 4)]))
+
+
+@pytest.mark.parametrize("xs,message", [
+    ([F(3, 4), F(-1)], "outside domain"),   # out of order and outside: outside
+    ([F(1), F(-1, 2)], "outside domain"),
+    ([F(3, 4), F(2)], "outside domain"),
+    ([F(10**400)], "outside domain"),
+    ([F(1), F(1, 2)], "not sorted"),
+    ([F(1, 2), F(1, 2) - F(1, 10**30)], "not sorted"),
+], ids=["behind_and_below", "last_then_below", "above", "beyond_float64",
+        "behind_a_node", "behind_by_a_float_tie"])
+def test_sides_tells_outside_from_unsorted(xs, message):
+    with pytest.raises(PreconditionError, match=message):
+        list(fixtures.tent().sides(xs))
+
+
+def test_eval_value_at_and_segment_index_look_up_once(monkeypatch):
+    # two nodes that share one float with a jump at each, and probes on,
+    # beside and beyond every node
+    tie = F(1, 3) + F(1, 3 * 2**70)
+    f = PwaMap.from_triples([(0, None, 0), (F(1, 3), 1, F(1, 2)),
+                             (tie, F(1, 4), F(3, 4)), (1, 0, None)])
+    assert float(tie) == float(F(1, 3))
+    a, b = f.domain
+    probes = {F(-1), F(2), F(10**400), -F(10**400), (F(1, 3) + tie) / 2}
+    for n in f.nodes:
+        probes.add(n.x)
+        probes |= {F(math.nextafter(float(n.x), t)) for t in (math.inf, -math.inf)}
+    real_locate = pwmap.locate_leq
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real_locate(*args)
+
+    monkeypatch.setattr(pwmap, "locate_leq", counted)
+
+    def once(fn, *args):
+        calls.clear()
+        try:
+            return fn(*args)
+        except PreconditionError as exc:
+            return exc
+        finally:
+            assert len(calls) == 1, (fn, args)
+
+    xs = [n.x for n in f.nodes]
+    for x in sorted(probes):
+        node = next((n for n in f.nodes if n.x == x), None)
+        inside = [i for i, s in enumerate(f.segments) if s.x0 < x < s.x1]
+        for side in (None, LEFT, RIGHT):
+            got = once(f.eval, x, side)
+            if inside:
+                assert got == f.segments[inside[0]].value(x)
+            elif node is None:
+                assert "outside domain" in str(got)
+            elif side is not None:
+                want = node.y_left if side == LEFT else node.y_right
+                if want is None:
+                    assert "undefined at endpoint" in str(got)
+                else:
+                    assert got == want
+        got = once(f.value_at, x)
+        if node is not None:
+            assert got == (node.y_left if node.y_right is None else node.y_right)
+        elif inside:
+            assert got == f.segments[inside[0]].value(x)
+        else:
+            assert "outside domain" in str(got)
+        if not a <= x <= b:
+            continue
+        right = once(f.segment_index, x, RIGHT)
+        if x < b:
+            assert right == max(i for i in range(len(xs) - 1) if xs[i] <= x)
+        else:
+            assert "no right side" in str(right)
+        left = once(f.segment_index, x, LEFT)
+        if x > a:
+            assert left == max(i for i in range(len(xs) - 1) if xs[i] < x)
+        else:
+            assert "no left side" in str(left)
 
 
 def test_laps_tent_and_doubling():
