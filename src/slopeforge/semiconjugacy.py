@@ -156,11 +156,13 @@ class PsiTable:
         return self._table_interp(x, self.ys)
 
     def _table_interp(self, x: Fraction, ys):
-        """ys at a table point, else interpolated in the cell of x; the
-        lookup index is the domain test, as in PwaMap._locate."""
+        """ys at a table point, else interpolated in the cell of x.  The
+        lookup index is the domain test, as in PwaMap._locate, and a hit
+        is tested from the floats first, as in _start_cell."""
         txs, txsf = self.xs, self._txsf
+        xf = float(x)
         i = locate_leq(txs, txsf, x)
-        if i >= 0 and txsf[i] == float(x) and txs[i] == x:
+        if i >= 0 and txsf[i] == xf and txs[i] == x:
             return ys[i]
         if not 0 <= i < len(txs) - 1:
             raise PreconditionError(f"x={x} outside the psi table domain")

@@ -110,6 +110,7 @@ def test_pwa_coordinate_beyond_float64_is_a_parse_error(capsys, tmp_path):
     assert code == 2
     assert len(out.splitlines()) == 1
     assert summary["error"][0].startswith("parse")
+    assert "beyond the float64 range" in summary["error"][0]
 
 
 def test_underflowing_coordinates_stay_valid(capsys, tmp_path):
@@ -359,20 +360,26 @@ def test_flatten_malformed_chart_is_a_parse_error(capsys, tmp_path, old, new):
     assert code == 2
     assert len(out.splitlines()) == 1
     assert summary["error"][0].startswith("parse")
+    if BEYOND_FLOAT64 in new:
+        assert "beyond the float64 range" in summary["error"][0]
 
 
-@pytest.mark.parametrize("row", ["0.5\tabc\t1/2", "0.5\t0.5\t1/0",
-                                 "0.5\tnan\t1/2", f"2\t1\t{BEYOND_FLOAT64}"],
-                         ids=["bad_psi", "bad_x_exact", "nan_psi", "x_exact_beyond_float64"])
+# each bad row sits where the rows stay sorted, so only its own check fails it
+@pytest.mark.parametrize("rows,message", [
+    ("0\t0\t0\n0.5\tabc\t1/2\n1\t1\t1\n", "bad psi TSV row"),
+    ("0\t0\t0\n0.5\t0.5\t1/0\n1\t1\t1\n", "bad psi TSV row"),
+    ("0\t0\t0\n0.5\tnan\t1/2\n1\t1\t1\n", "outside [0, 1]"),
+    (f"0\t0\t0\n1\t1\t1\n2\t1\t{BEYOND_FLOAT64}\n", "beyond the float64 range"),
+], ids=["bad_psi", "bad_x_exact", "nan_psi", "x_exact_beyond_float64"])
 def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
-                                                   tmp_path, row):
-    # the last row: a row beyond the float range is still sorted there
+                                                   tmp_path, rows, message):
     psi = tmp_path / "psi.tsv"
-    psi.write_text(f"x\tpsi\tx_exact\n0\t0\t0\n1\t1\t1\n{row}\n")
+    psi.write_text(f"x\tpsi\tx_exact\n{rows}")
     code, summary, out = run(capsys, ["verify", tent_file, tent_file, str(psi)])
     assert code == 2
     assert len(out.splitlines()) == 1
     assert summary["error"][0].startswith("parse")
+    assert message in summary["error"][0]
 
 
 @pytest.mark.parametrize("argv,code,kind", [
