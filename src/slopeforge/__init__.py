@@ -48,8 +48,7 @@ _EXPORTS = {
     ),
     "semiconjugacy": (
         "ConstantSlopeMap", "PsiTable", "build_constant_slope", "build_psi",
-        "check_compatibility", "check_scaling_identity", "psi_from_tsv",
-        "psi_on_points", "psi_to_tsv",
+        "psi_from_tsv", "psi_on_points", "psi_to_tsv",
     ),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .entropy import entropy_lapcount, entropy_spectral
 from .errors import (
@@ -50,8 +49,7 @@ MAX_APPROX_POINTS = 500_000
 PIPELINE_TABLE_POINTS = 4097   # table size of every psi the pipeline builds
 
 
-@dataclass(frozen=True)
-class ApproxConfig:
+class ApproxConfig(NamedTuple):
     n: int
     points: tuple
     distance: Fraction           # exact sup distance to the source map
@@ -142,8 +140,7 @@ def _shadow_points(f: PwaMap, depth: int) -> frozenset:
     return frozenset(pts)
 
 
-@dataclass(frozen=True)
-class ShadowReport:
+class ShadowReport(NamedTuple):
     ok: bool
     depth: int
     witness: Optional[object] = None
@@ -200,8 +197,7 @@ def check_monotone_shadowing(f: PwaMap, g: PwaMap, k: int) -> ShadowReport:
 # residual verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     residual: float
     grid_points: int
     slope_histogram: tuple       # ((|slope|, count), ...) sorted
@@ -257,22 +253,33 @@ def verify_semiconjugacy(f: PwaMap, g: PwaMap, psi: PsiTable,
     The grid is equispaced plus every breakpoint of f, built sorted (see
     _grid); a detached table (no structure) snaps it to the table
     support, so it is evaluated only where it is exact.  f's one-sided
-    values along the sorted grid come from one PwaMap.sides pass.
+    values along the sorted grid come from one PwaMap.sides pass.  f
+    often maps grid points onto grid points, so each psi value is kept
+    for the call and every distinct point is evaluated once; psi.eval
+    is deterministic, so this changes no value.
     """
     xs = _grid(f, grid_points)
     if psi.structure is None:
         xs = _snap_to_table(xs, psi.xs)
     continuous = f.is_continuous
+    known = {}
+
+    def psi_at(x) -> float:
+        z = known.get(x)
+        if z is None:
+            z = known[x] = float(psi.eval(x, fast=True))
+        return z
+
     worst = 0.0
     for x, (yl, yr) in zip(xs, f.sides(xs)):
-        zx = float(psi.eval(x, fast=True))
+        zx = psi_at(x)
         # on a continuous f the right value stands for both sides, except at b
         if continuous and yr is not None:
             yl = None
         for side, y in ((LEFT, yl), (RIGHT, yr)):
             if y is None:
                 continue
-            lhs = float(psi.eval(y, fast=True))
+            lhs = psi_at(y)
             rhs = g.eval_float(zx, side)
             r = abs(lhs - rhs)
             if r > worst:
@@ -314,8 +321,7 @@ def _is_conjugacy(f: PwaMap, psi: PsiTable, converged: bool) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
+class PipelineTrace(NamedTuple):
     indices: tuple
     betas: tuple
     gap_rows: tuple              # per schedule row; None when no comparison

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,13 +43,17 @@ ERROR_CLASSES = (
 )
 
 
-@dataclass
 class CommandResult:
-    artifacts: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    # a command that finished its work but missed its target; main
-    # prints it after the summary and exits with its code
-    error: SlopeforgeError | None = None
+    """What a command hands to main: its artifact paths, its summary
+    lines, and an error for a command that finished its work but missed
+    its target (main prints it after the summary and exits with its
+    code)."""
+
+    def __init__(self, artifacts: list | None = None, summary: dict | None = None,
+                 error: SlopeforgeError | None = None):
+        self.artifacts = [] if artifacts is None else artifacts
+        self.summary = {} if summary is None else summary
+        self.error = error
 
 
 def _read(path: str) -> str:
@@ -106,6 +109,8 @@ def cmd_entropy(args) -> CommandResult:
 def cmd_markov_check(args) -> CommandResult:
     from .markov import MAX_CLOSURE_POINTS, is_markov, markov_closure
 
+    if args.budget is not None and args.budget < 1:
+        raise PreconditionError("--budget must be at least 1")
     f = _load_map(args.file)
     res = CommandResult()
     if args.points:
@@ -114,7 +119,7 @@ def cmd_markov_check(args) -> CommandResult:
         res.summary["markov"] = "true" if chk.ok else "false"
         if not chk.ok:
             res.summary["reason"] = chk.reason
-            res.summary["witness"] = repr(chk.witness)
+            res.summary["witness"] = ",".join(map(format_rational, chk.witness))
         return res
     budget = MAX_CLOSURE_POINTS if args.budget is None else args.budget
     try:
@@ -161,6 +166,8 @@ def cmd_normalize(args) -> CommandResult:
 def cmd_approx(args) -> CommandResult:
     from .approximation import markov_approx
 
+    if args.shadow_depth is not None and args.shadow_depth < 1:
+        raise PreconditionError("--shadow-depth must be at least 1")
     f = _load_map(args.file)
     g, cfg = markov_approx(f, args.index, shadow_depth=args.shadow_depth)
     res = CommandResult()

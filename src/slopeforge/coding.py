@@ -14,16 +14,16 @@ uncollapsed.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
 from .entropy import entropy_lapcount
 from .errors import PreconditionError
 from .numeric import format_rational
 from .pwmap import LEFT, RIGHT, PwaMap, lap_end_pullback, laps, locate_leq, preimage_sweep
 
 
-@dataclass(frozen=True)
-class Itinerary:
+class Itinerary(NamedTuple):
     word: tuple                  # lap index per step
     ambiguous_at: tuple          # positions sitting on a shared lap endpoint
 
@@ -74,8 +74,7 @@ def itinerary(f: PwaMap, x, n: int) -> Itinerary:
     return Itinerary(tuple(word), tuple(amb))
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     collapse_intervals: tuple    # disjoint closed rational intervals
     psi0: PwaMap                 # increasing factor map onto [0,1]
     fhat: PwaMap                 # the factor map (see leak diagnostics)

@@ -11,8 +11,7 @@ while (1/n) log c_n carries a log(C)/n bias for a long time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, PreconditionError
 from .markov import FIRST_CLOSURE_POINTS, MarkovStructure, markov_closure
@@ -23,8 +22,7 @@ DEFAULT_DEPTH = 12
 AGREEMENT_GAP = 0.02
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     lap_counts: tuple            # c_1 .. c_N (exact integers)
     lap_estimates: tuple         # (1/n) log c_n
     fekete: float                # min of lap_estimates (proved upper bound)
@@ -106,8 +104,8 @@ def entropy(f: PwaMap, depth: int = DEFAULT_DEPTH,
         return report
     spectral = entropy_spectral(s)
     gap = abs(report.trend - spectral)
-    return replace(report, spectral=spectral, agreed=gap < AGREEMENT_GAP,
-                   gap=gap, positive=float(s.beta) > 1)
+    return report._replace(spectral=spectral, agreed=gap < AGREEMENT_GAP,
+                           gap=gap, positive=float(s.beta) > 1)
 
 
 def is_entropy_positive(f: PwaMap) -> bool:

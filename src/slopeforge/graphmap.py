@@ -15,9 +15,8 @@ identifying vertices of the quotient graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FormatError, PreconditionError
 from .pwmap import LEFT, RIGHT, Node, PwaMap, parse_node_line, preimage_sweep
@@ -31,8 +30,7 @@ if TYPE_CHECKING:  # flattening alone loads no numeric module
 EDGE_COLLAPSE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     vertices: tuple
     edges: tuple                 # (edge id, head vertex, tail vertex)
 
@@ -43,20 +41,17 @@ class GraphSpec:
         raise KeyError(eid)
 
 
-@dataclass(frozen=True)
-class EdgeAction:
+class EdgeAction(NamedTuple):
     word: tuple                  # ((edge id, +1|-1), ...)
     chart: PwaMap                # [0,1] -> [0, len(word)], piecewise monotone
 
 
-@dataclass(frozen=True)
-class GraphMapSpec:
+class GraphMapSpec(NamedTuple):
     graph: GraphSpec
     actions: dict                # edge id -> EdgeAction
 
 
-@dataclass(frozen=True)
-class FlatteningChart:
+class FlatteningChart(NamedTuple):
     ordering: tuple              # (edge id, ...) in flat layout order
     cut_points: tuple            # integers 0..E as Fractions
     vertex_positions: dict       # vertex -> tuple of flat coordinates
@@ -283,8 +278,7 @@ def flatten(gm: GraphMapSpec) -> tuple:
 # normalization with lift
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphNormalForm:
+class GraphNormalForm(NamedTuple):
     chart: FlatteningChart
     trace: PipelineTrace
     psi: PsiTable

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -59,8 +58,7 @@ def _cell_direction(f_laps, starts, lo: Fraction, hi: Fraction):
     return f"not strictly-monotone-or-constant on [{lo}, {hi}]"
 
 
-@dataclass(frozen=True)
-class MarkovCheck:
+class MarkovCheck(NamedTuple):
     ok: bool
     reason: Optional[str] = None
     witness: Optional[object] = None
@@ -124,8 +122,7 @@ def is_markov(f: PwaMap, points: Sequence[Fraction]) -> MarkovCheck:
 # Perron data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerronResult:
+class PerronResult(NamedTuple):
     beta: object                 # mpf or float
     v: tuple                     # nonnegative, sums to 1
     residual: float              # max |Mv - beta v|
@@ -412,8 +409,7 @@ def strongly_connected_components(rows, n) -> list:
     return comps
 
 
-@dataclass(frozen=True)
-class MixingReport:
+class MixingReport(NamedTuple):
     irreducible: bool
     primitive: bool
 
@@ -519,8 +515,7 @@ def serialize_matrix(M) -> str:
 # the validated structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkovStructure:
+class MarkovStructure(NamedTuple):
     map: PwaMap
     points: tuple                # P, sorted Fractions
     directions: tuple            # +1/-1/0 per cell
@@ -602,8 +597,7 @@ def markov_closure(f: PwaMap, max_points: int = MAX_CLOSURE_POINTS,
 # refinement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(NamedTuple):
     """The n-fold pullback partition of a Markov structure.
 
     points is P_n exactly; per cell, image_elem is the base-cell index

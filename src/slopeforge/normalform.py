@@ -13,9 +13,8 @@ heuristic otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .approximation import (
     PipelineTrace,
@@ -41,8 +40,7 @@ EVIDENCE_ORBIT = "dense_orbit_sample"
 EVIDENCE_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     psi: PsiTable                  # the factor map; constant on every plateau
     g: ConstantSlopeMap
     conjugacy: bool
@@ -197,8 +195,7 @@ def slope_gap_bound(alpha, beta, modality_n: int):
     return (alpha - beta) / (2 * modality_n + 2)
 
 
-@dataclass(frozen=True)
-class GapCheck:
+class GapCheck(NamedTuple):
     holds: bool
     distance: Fraction
     bound: Fraction

@@ -14,9 +14,8 @@ and sup-distance are exact.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, FormatError, PreconditionError
 from .numeric import format_rational, parse_rational
@@ -54,15 +53,13 @@ def locate_leq(pts, pts_float, x: Fraction) -> int:
     return j
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     x: Fraction
     y_left: Optional[Fraction]
     y_right: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class Lap:
+class Lap(NamedTuple):
     """Maximal closed interval on which the map is continuous and monotone."""
 
     lo: Fraction
@@ -70,8 +67,7 @@ class Lap:
     direction: str  # INCREASING | DECREASING | CONSTANT
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Open affine piece between two consecutive nodes."""
 
     x0: Fraction

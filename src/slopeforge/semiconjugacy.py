@@ -29,10 +29,8 @@ the beta^-depth certificate holds as for the exact walk.
 from __future__ import annotations
 
 import bisect
-import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -42,7 +40,7 @@ from .errors import (
 )
 from .markov import MarkovStructure, Refinement, refine, refinements
 from .numeric import format_decimal, format_rational, parse_rational, rationalize
-from .pwmap import LEFT, RIGHT, PwaMap, laps, locate_leq
+from .pwmap import PwaMap, locate_leq
 
 COLLAPSE_TOL = 1e-12
 # accepted relative deviation of g's piece slopes from beta, by the
@@ -75,7 +73,6 @@ def _split_high(a: float) -> float:
     return c - (c - a)
 
 
-@dataclass(frozen=True)
 class PsiTable:
     """Sampled increasing factor map with a certified modulus.
 
@@ -83,51 +80,53 @@ class PsiTable:
     between table entries finer than table_depth) is exact up to
     error_bound = beta^-depth.  xs/ys hold the exact values on the
     refinement points of table_depth; ys[0] = 0 and ys[-1] = 1 exactly.
+    The constructor builds the float shadows and segment data the
+    descents read; a table is not changed after it is built.
     """
 
-    depth: int
-    table_depth: int
-    xs: tuple
-    ys: tuple
-    beta: object
-    error_bound: float
-    collapse_intervals: tuple
-    structure: Optional[MarkovStructure] = None
-
-    def __post_init__(self):
-        ys = self.ys
-        object.__setattr__(self, "_tgap", max(
-            (float(ys[i + 1] - ys[i]) for i in range(len(ys) - 1)), default=0.0))
+    def __init__(self, depth: int, table_depth: int, xs: tuple, ys: tuple,
+                 beta: object, error_bound: float, collapse_intervals: tuple,
+                 structure: Optional[MarkovStructure] = None):
+        self.depth = depth
+        self.table_depth = table_depth
+        self.xs = xs
+        self.ys = ys
+        self.beta = beta
+        self.error_bound = error_bound
+        self.collapse_intervals = collapse_intervals
+        self.structure = structure
+        self._tgap = max(
+            (float(ys[i + 1] - ys[i]) for i in range(len(ys) - 1)), default=0.0)
         try:  # the float shadow of the table's points, for locate_leq
-            object.__setattr__(self, "_txsf", [float(x) for x in self.xs])
+            self._txsf = [float(x) for x in xs]
         except OverflowError:
             raise FormatError("a psi table x lies beyond the float64 range") from None
-        if self.structure is not None:
-            s = self.structure
+        if structure is not None:
+            s = structure
             V = s.prefix_sums()
             total = V[-1]
-            object.__setattr__(self, "_pts", list(s.points))
-            object.__setattr__(self, "_ptsf", [float(p) for p in s.points])
-            object.__setattr__(self, "_V", [u / total for u in V])
-            object.__setattr__(self, "_Vf", [float(u / total) for u in V])
+            self._pts = list(s.points)
+            self._ptsf = [float(p) for p in s.points]
+            self._V = [u / total for u in V]
+            self._Vf = [float(u / total) for u in V]
             # raw affine data of the map for tight orbit stepping
             f = s.map
-            object.__setattr__(self, "_seg_x", [seg.x0 for seg in f.segments])
-            object.__setattr__(self, "_seg_xf", [float(seg.x0) for seg in f.segments])
-            object.__setattr__(self, "_seg_y", [seg.y0 for seg in f.segments])
-            object.__setattr__(self, "_seg_s", [seg.slope for seg in f.segments])
-            object.__setattr__(self, "_seg_yf", [float(seg.y0) for seg in f.segments])
-            object.__setattr__(self, "_seg_sf", [float(seg.slope) for seg in f.segments])
-            object.__setattr__(self, "_seg_sh", [_split_high(sl) for sl in self._seg_sf])
+            self._seg_x = [seg.x0 for seg in f.segments]
+            self._seg_xf = [float(seg.x0) for seg in f.segments]
+            self._seg_y = [seg.y0 for seg in f.segments]
+            self._seg_s = [seg.slope for seg in f.segments]
+            self._seg_yf = [float(seg.y0) for seg in f.segments]
+            self._seg_sf = [float(seg.slope) for seg in f.segments]
+            self._seg_sh = [_split_high(sl) for sl in self._seg_sf]
             # the float orbit of x can be exact only on a map whose
             # partition points and affine data are float64 values
             exact_map = all(map(_is_float, s.points)) and all(
                 _is_float(q) for seg in f.segments for q in (seg.x0, seg.y0, seg.slope))
-            object.__setattr__(self, "_exact_map", exact_map)
-            object.__setattr__(self, "_exact_table", exact_map and all(map(_is_float, self.xs)))
+            self._exact_map = exact_map
+            self._exact_table = exact_map and all(map(_is_float, xs))
             # table values for the interpolated tail of the descent
-            object.__setattr__(self, "_tys", list(self.ys))
-            object.__setattr__(self, "_tys_f", [float(y) for y in self.ys])
+            self._tys = list(ys)
+            self._tys_f = [float(y) for y in ys]
 
     def eval(self, x, fast: bool = False) -> object:
         """psi(x) for any point of the domain.
@@ -481,8 +480,7 @@ def build_psi(s: MarkovStructure, target_err: float,
 # the constant-slope image map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantSlopeMap:
+class ConstantSlopeMap(NamedTuple):
     map: PwaMap
     slope: float
 
@@ -551,73 +549,6 @@ def build_constant_slope(s: MarkovStructure, psi: PsiTable) -> ConstantSlopeMap:
 
 def _unit_clamp(x: Fraction) -> Fraction:
     return min(max(x, Fraction(0)), Fraction(1))
-
-
-# ---------------------------------------------------------------------------
-# identity checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalingCheckReport:
-    max_residual: float
-    samples: int
-    tolerance: float
-
-
-def check_scaling_identity(f: PwaMap, psi: PsiTable, beta, samples: int = 10000,
-                seed: int = 0) -> ScalingCheckReport:
-    """Sample |psi(f(y)) - psi(f(x))| = beta |psi(y) - psi(x)| on laps.
-
-    Pairs are drawn with both points interior to one lap; the reported
-    tolerance includes the table's certified evaluation error.
-    """
-    rng = random.Random(seed)
-    lps = laps(f)
-    denom = 2**24
-    worst = 0.0
-    bf = float(beta)
-    for _ in range(samples):
-        lap = lps[rng.randrange(len(lps))]
-        width = lap.hi - lap.lo
-        u = lap.lo + width * Fraction(rng.randrange(denom + 1), denom)
-        w = lap.lo + width * Fraction(rng.randrange(denom + 1), denom)
-        if u == w:
-            continue
-        hull_ok = lap.lo < min(u, w) and max(u, w) < lap.hi
-        if not hull_ok:
-            continue
-        lhs = abs(psi.eval(f.eval(w), fast=True) - psi.eval(f.eval(u), fast=True))
-        rhs = bf * abs(psi.eval(w, fast=True) - psi.eval(u, fast=True))
-        worst = max(worst, abs(lhs - rhs))
-    tol = 4 * psi.error_bound * max(1.0, bf)
-    return ScalingCheckReport(worst, samples, tol)
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    ok: bool
-    witnesses: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_compatibility(f: PwaMap, psi: PsiTable,
-                        tol: float = COLLAPSE_TOL) -> CompatibilityReport:
-    """Laps collapsed by psi must have collapsed images."""
-    res = max(tol, 2 * psi.error_bound)
-    bad = []
-    bf = 1.0 if psi.beta is None else float(psi.beta)
-    for lap in laps(f):
-        span = float(psi.eval(lap.hi, fast=True) - psi.eval(lap.lo, fast=True))
-        if span > res:
-            continue
-        u = f.eval(lap.lo, RIGHT)
-        w = f.eval(lap.hi, LEFT)
-        img_span = abs(float(psi.eval(w, fast=True) - psi.eval(u, fast=True)))
-        if img_span > max(bf * res, 4 * psi.error_bound):
-            bad.append((lap.lo, lap.hi))
-    return CompatibilityReport(not bad, tuple(bad))
 
 
 # ---------------------------------------------------------------------------

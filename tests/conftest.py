@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as F
+from typing import NamedTuple
 
 from slopeforge.pwmap import LEFT, RIGHT, PwaMap, iterate, lap_ends, laps, orbit_one_sided
+from slopeforge.semiconjugacy import COLLAPSE_TOL
 
 
 def random_constant_slope(rng, m, slope):
@@ -85,3 +88,62 @@ def check_lap_ends_match_iterates(f, depth):
                 assert walk[0] == (c, side)
                 assert [p for p, _ in walk[1:]] == [
                     fj.eval(c, side) for fj in iterates[:k]], (k, c, side)
+
+
+class ScalingCheckReport(NamedTuple):
+    max_residual: float
+    samples: int
+    tolerance: float
+
+
+def check_scaling_identity(f, psi, beta, samples=10000, seed=0):
+    """Sample |psi(f(y)) - psi(f(x))| = beta |psi(y) - psi(x)| on laps.
+
+    Pairs are drawn with both points interior to one lap; the reported
+    tolerance includes the table's certified evaluation error.
+    """
+    rng = random.Random(seed)
+    lps = laps(f)
+    denom = 2**24
+    worst = 0.0
+    bf = float(beta)
+    for _ in range(samples):
+        lap = lps[rng.randrange(len(lps))]
+        width = lap.hi - lap.lo
+        u = lap.lo + width * F(rng.randrange(denom + 1), denom)
+        w = lap.lo + width * F(rng.randrange(denom + 1), denom)
+        if u == w:
+            continue
+        hull_ok = lap.lo < min(u, w) and max(u, w) < lap.hi
+        if not hull_ok:
+            continue
+        lhs = abs(psi.eval(f.eval(w), fast=True) - psi.eval(f.eval(u), fast=True))
+        rhs = bf * abs(psi.eval(w, fast=True) - psi.eval(u, fast=True))
+        worst = max(worst, abs(lhs - rhs))
+    tol = 4 * psi.error_bound * max(1.0, bf)
+    return ScalingCheckReport(worst, samples, tol)
+
+
+class CompatibilityReport(NamedTuple):
+    ok: bool
+    witnesses: tuple
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_compatibility(f, psi, tol=COLLAPSE_TOL):
+    """Laps collapsed by psi must have collapsed images."""
+    res = max(tol, 2 * psi.error_bound)
+    bad = []
+    bf = 1.0 if psi.beta is None else float(psi.beta)
+    for lap in laps(f):
+        span = float(psi.eval(lap.hi, fast=True) - psi.eval(lap.lo, fast=True))
+        if span > res:
+            continue
+        u = f.eval(lap.lo, RIGHT)
+        w = f.eval(lap.hi, LEFT)
+        img_span = abs(float(psi.eval(w, fast=True) - psi.eval(u, fast=True)))
+        if img_span > max(bf * res, 4 * psi.error_bound):
+            bad.append((lap.lo, lap.hi))
+    return CompatibilityReport(not bad, tuple(bad))

@@ -140,6 +140,15 @@ def test_markov_check(capsys, tent_file):
     assert code == 0 and summary["markov"] == ["false"]
 
 
+def test_markov_check_witness_is_written_as_rationals(capsys, tmp_path):
+    p = tmp_path / "tent75.pwa"
+    p.write_text(serialize_pwa(fixtures.tent75()))
+    code, summary, _ = run(capsys, ["markov-check", str(p), "--points", "0,1/2,1"])
+    assert code == 0 and summary["markov"] == ["false"]
+    assert summary["reason"] == ["image of a P point escapes P"]
+    assert summary["witness"] == ["1/2,7/10"]
+
+
 def test_left_out_budget_is_the_library_default(capsys, tmp_path):
     from slopeforge.markov import MAX_CLOSURE_POINTS
 
@@ -389,6 +398,10 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["verify", "{f}", "{f}", "{psi}", "--grid", "0"], 3, "precondition"),
     (["entropy", "{f}", "--depth", "0"], 3, "precondition"),
     (["reduce", "{f}", "--depth", "0"], 3, "precondition"),
+    (["approx", "{f}", "--index", "8", "--shadow-depth", "0"], 3, "precondition"),
+    (["approx", "{f}", "--index", "8", "--shadow-depth", "-1"], 3, "precondition"),
+    (["markov-check", "{f}", "--budget", "0"], 3, "precondition"),
+    (["markov-check", "{f}", "--budget", "-1"], 3, "precondition"),
     (["entropy", "{f}", "--depth", "1000000"], 4, "non-convergence"),
     (["entropy", "{f}", "--depth", "20000", "--out", "{out}"], 4, "non-convergence"),
     (["approx", "{bimodal}", "--index", "64", "--shadow-depth", "14",
@@ -402,7 +415,9 @@ def test_verify_malformed_psi_row_is_a_parse_error(capsys, tent_file,
     (["entropy"], 2, "parse"),
     (["no-such-command", "{f}"], 2, "parse"),
 ], ids=["schedule", "points", "normalize_grid", "verify_grid",
-        "entropy_depth", "reduce_depth", "entropy_depth_budget",
+        "entropy_depth", "reduce_depth", "approx_shadow_depth_zero",
+        "approx_shadow_depth_negative", "markov_check_budget_zero",
+        "markov_check_budget_negative", "entropy_depth_budget",
         "entropy_count_bits", "approx_shadow_depth_budget",
         "reduce_default_depth_budget", "approx_index_points", "verify_tol_nan",
         "normalize_tol_nan", "phi_tol_inf", "entropy_depth_type",

@@ -39,8 +39,8 @@ COMMAND_PROBE = """
 import sys
 from slopeforge.cli import main
 code = main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules
-                      if m == "mpmath" or m.startswith("slopeforge."))))
+print(" ".join(sorted(m for m in sys.modules if m in ("mpmath", "dataclasses")
+                      or m.startswith("slopeforge."))))
 sys.exit(code)
 """
 
@@ -63,6 +63,7 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("commands")
     for name, f in {"golden": fixtures.golden(), "skew": fixtures.skew_tent(),
                     "t32": fixtures.tent_slope(F(3, 2)),
+                    "core": fixtures.core_tent32(),
                     "flat": fixtures.flat_trapezoid()}.items():
         (d / f"{name}.pwa").write_text(serialize_pwa(f))
     (d / "circle.txt").write_text(fixtures.CIRCLE_DOUBLING)
@@ -73,12 +74,13 @@ def inputs(tmp_path_factory):
 
 
 def _modules(*names):
-    return {n if n == "mpmath" else f"slopeforge.{n}" for n in names}
+    return {n if n == "mpmath" else f"slopeforge.{n}" for n in names} | {"dataclasses"}
 
 
 # per command: its arguments, the modules it must not load, and its exit
 # code when SLOPEFORGE_PRECISION is malformed (3 where it needs mp
-# arithmetic: an exact Markov closure's Perron solve)
+# arithmetic: an exact Markov closure's Perron solve); no command loads
+# dataclasses
 COMMANDS = {
     "entropy": (["golden.pwa"], _modules(
         "approximation", "coding", "graphmap", "normalform", "semiconjugacy"), 3),
@@ -97,7 +99,7 @@ COMMANDS = {
         "mpmath", "approximation", "coding", "entropy", "markov", "normalform",
         "semiconjugacy"), 0),
     "plot": (["skew.pwa", "--samples", "4"], _modules(
-        "approximation", "coding", "entropy", "graphmap", "markov",
+        "mpmath", "approximation", "coding", "entropy", "graphmap", "markov",
         "normalform", "semiconjugacy"), 0),
 }
 
@@ -119,3 +121,15 @@ def test_bad_precision_exits_where_mp_arithmetic_runs(inputs, command):
     if want == 3:
         assert lines == ["error=precondition message=\"SLOPEFORGE_PRECISION "
                          "must be an integer, got 'abc'\""]
+
+
+# mpmath loads for the mp Perron solve alone: the approximant route and a
+# constant-slope input write their decimals without it
+@pytest.mark.parametrize("argv,want", [
+    (["normalize", "t32.pwa"], 4),
+    (["phi", "core.pwa", "--out-dir", "core_bundle"], 0),
+], ids=["normalize_approximant_route", "phi_constant_slope"])
+def test_routes_without_mp_arithmetic_load_no_mpmath(inputs, argv, want):
+    code, lines, loaded = run_command(argv, inputs)
+    assert code == want, lines
+    assert not loaded & {"mpmath", "dataclasses"}, sorted(loaded)

@@ -25,7 +25,7 @@ from slopeforge.approximation import (
     verify_semiconjugacy,
 )
 from slopeforge.markov import markov_closure, structure_from_points
-from slopeforge.pwmap import PwaMap, locate_leq, merge_sorted
+from slopeforge.pwmap import LEFT, RIGHT, PwaMap, locate_leq, merge_sorted
 from slopeforge.semiconjugacy import build_psi, psi_from_tsv, psi_to_tsv
 
 
@@ -283,3 +283,39 @@ def test_structure_backed_verify_makes_no_per_point_lookups(monkeypatch):
     assert rep.residual < 1e-6
     assert len(orders) <= 2 * rep.grid_points + 100, len(orders)
     assert not any(sorts)
+
+
+def fresh_residual(f, g, psi, grid_points):
+    """verify_semiconjugacy's residual with psi evaluated afresh at every
+    use: at each grid point and at each of its one-sided images."""
+    xs = _grid(f, grid_points)
+    worst = 0.0
+    for x, (yl, yr) in zip(xs, f.sides(xs)):
+        if f.is_continuous and yr is not None:
+            yl = None
+        for side, y in ((LEFT, yl), (RIGHT, yr)):
+            if y is not None:
+                rhs = g.eval_float(float(psi.eval(x, fast=True)), side)
+                worst = max(worst, abs(float(psi.eval(y, fast=True)) - rhs))
+    return worst
+
+
+def test_verify_evaluates_each_distinct_point_once(monkeypatch):
+    # golden maps its dyadic grid into itself: 4,097 grid points and
+    # their 4,097 images are 4,097 distinct points, each descended once
+    f = fixtures.golden()
+    tr = normalize(f, target=1e-6)
+    psi, g = tr.final_psi, tr.final_g.map
+    calls = []
+    real = semiconjugacy.PsiTable._descend_float
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(semiconjugacy.PsiTable, "_descend_float", counted)
+        rep = verify_semiconjugacy(f, g, psi, grid_points=4096)
+    assert rep.grid_points == 4097
+    assert len(calls) == len(set(calls)) == 4097
+    assert rep.residual == fresh_residual(f, g, psi, 4096)

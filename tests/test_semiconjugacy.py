@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import check_compatibility, check_scaling_identity
 
 from slopeforge import fixtures
 from slopeforge.approximation import markov_approx, normalize
@@ -13,8 +14,6 @@ from slopeforge.semiconjugacy import (
     _is_float,
     build_constant_slope,
     build_psi,
-    check_compatibility,
-    check_scaling_identity,
     psi_from_tsv,
     psi_on_points,
     psi_to_tsv,
